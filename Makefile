@@ -23,9 +23,11 @@ lint:
 # check is the pre-merge gate: lint, build, race-test the consensus, crypto,
 # ordering, persistence, transport, and observability packages, race-test WAL
 # durability and crash-restart recovery plus a chaos crash/partition smoke
-# (which now also asserts the consensus event journal), fuzz the WAL decoder
-# briefly, and smoke-run the verification, batching, and transport benchmarks
-# once so a broken benchmark cannot rot unnoticed.
+# (which now also asserts the consensus event journal), fuzz the WAL decoder,
+# the batch verifier and the canonical point-encoding check briefly,
+# smoke-run the verification, batching, and transport benchmarks once, and
+# run the repository benchmark's own tests (perfbench/) so a broken
+# benchmark cannot rot unnoticed.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./internal/pbft/... ./internal/crypto/...
@@ -36,9 +38,11 @@ check: lint
 	$(GO) test -race -run 'TestChaos' ./internal/testbed
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzBatchVerify -fuzztime 5s ./internal/crypto
+	$(GO) test -run '^$$' -fuzz FuzzCanonicalPoint -fuzztime 5s ./internal/crypto
 	$(GO) test -run '^$$' -bench Verify -benchtime 1x ./internal/crypto/... ./internal/pbft/...
 	$(GO) test -run '^$$' -bench Transport -benchtime 1x ./internal/transport
 	$(GO) test -run '^$$' -bench 'StoreAppend|OrderingThroughput' -benchtime 1x .
+	cd perfbench && GOFLAGS=-mod=mod $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

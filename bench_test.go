@@ -345,8 +345,9 @@ func BenchmarkOrderingThroughput(b *testing.B) {
 // over real TCP loopback connections, exercising the transport's outbound
 // write path (framing, syscalls, per-peer fan-out) instead of the in-process
 // network. The acceptance target for the asynchronous transport pipeline is
-// ≥1.5x records/s at batch=64 over the synchronous-send baseline
-// (BENCH_transport.json).
+// ≥1.5x records/s at batch=64 over the synchronous-send baseline; the
+// repository benchmark's bus-jru workload (perfbench/) measures the TCP
+// path end to end.
 func BenchmarkOrderingThroughputTCP(b *testing.B) {
 	for _, batch := range []int{1, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
@@ -373,9 +374,9 @@ func BenchmarkOrderingThroughputTCP(b *testing.B) {
 }
 
 func benchOrderingThroughput(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.Transport) {
-	// The historical in-process window (BENCH_ordering.json): enough
-	// concurrency to fill batches and the PBFT watermark, little enough
-	// that tail latency stays far below the timeouts.
+	// The in-process window, as in perfbench's ordering-saturate workload:
+	// enough concurrency to fill batches and the PBFT watermark, little
+	// enough that tail latency stays far below the timeouts.
 	benchOrdering(b, maxBatch, trs, 64)
 }
 

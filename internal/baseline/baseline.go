@@ -244,7 +244,7 @@ func (n *Node) Submit(payload []byte) {
 	primary := n.primary
 	n.mu.Unlock()
 
-	n.sendRequest(primary, req, false)
+	n.sendRequest(primary, req)
 	n.armTimer(digest, p)
 }
 
@@ -276,10 +276,8 @@ func (n *Node) onClientTimeout(digest crypto.Digest) {
 	}
 	if !p.broadcast && !n.cfg.SuspectOnFirstTimeout {
 		p.broadcast = true
-		primary := n.primary
 		n.mu.Unlock()
 		n.broadcastRequest(p.req)
-		_ = primary
 		n.mu.Lock()
 		if _, still := n.open[digest]; still && !n.closed {
 			n.armTimer(digest, p)
@@ -326,7 +324,7 @@ func (n *Node) currentPrimary() crypto.NodeID {
 	return n.primary
 }
 
-func (n *Node) sendRequest(to crypto.NodeID, req pbft.Request, rebroadcast bool) {
+func (n *Node) sendRequest(to crypto.NodeID, req pbft.Request) {
 	data := wire.Marshal(&ClientRequest{Req: req})
 	n.counters.AddSent(len(data))
 	if to == n.cfg.ID {
@@ -335,7 +333,6 @@ func (n *Node) sendRequest(to crypto.NodeID, req pbft.Request, rebroadcast bool)
 		return
 	}
 	_ = n.reqChan.Send(to, data)
-	_ = rebroadcast
 }
 
 func (n *Node) broadcastRequest(req pbft.Request) {

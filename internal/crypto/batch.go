@@ -3,7 +3,6 @@ package crypto
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/subtle"
 
 	"zugchain/internal/crypto/edwards25519"
 )
@@ -21,7 +20,7 @@ const zScalarBytes = 16
 
 type batchEntry struct {
 	id  NodeID
-	pub ed25519.PublicKey
+	key *verifyKey // signer's verification state; nil only for bad entries
 	msg []byte
 	sig []byte
 	d   Digest // Hash(msg); cache key component
@@ -31,7 +30,6 @@ type batchEntry struct {
 	cached bool // cache hit at Add time: already known good
 	bad    bool // structurally invalid: known bad without curve work
 
-	A *edwards25519.Point  // signer public key
 	R *edwards25519.Point  // signature commitment, canonical encoding
 	S *edwards25519.Scalar // signature scalar, canonical
 	k *edwards25519.Scalar // SHA-512(R ‖ A ‖ M) challenge
@@ -47,8 +45,8 @@ type batchEntry struct {
 //
 // whose 256 accumulator doublings are shared across all terms (Straus'
 // trick). A batch that fails bisects — halves re-checked by the same
-// equation, single-entry leaves by VerifySignature — so Verify always
-// pinpoints exactly which signatures are corrupt.
+// equation, single-entry leaves by the cofactored single equation — so
+// Verify always pinpoints exactly which signatures are corrupt.
 //
 // The multiplication by the cofactor 8 is what makes batching sound: it
 // clears small-order torsion components identically here and in the
@@ -58,7 +56,8 @@ type batchEntry struct {
 // cofactorless crypto/ed25519.Verify equation cannot be batched). Canonical
 // encodings of R and s are still required, checked at Add time. Cached and
 // structurally invalid entries are settled at Add time and never touch the
-// curve.
+// curve. Signer keys come decoded from the registry's per-key state, so Add
+// decompresses only R.
 //
 // A BatchVerifier is single-use and not safe for concurrent use; each
 // goroutine (e.g. each verify-pool chunk) builds its own.
@@ -81,50 +80,35 @@ func (v *BatchVerifier) Add(id NodeID, msg, sig []byte) {
 	v.entries = append(v.entries, batchEntry{id: id, msg: msg, sig: sig})
 	e := &v.entries[len(v.entries)-1]
 
-	pub, ok := v.reg.PublicKey(id)
-	if !ok || len(sig) != ed25519.SignatureSize || len(pub) != ed25519.PublicKeySize {
+	// An undecodable key fails VerifySignature whatever the signature.
+	key, ok := v.reg.key(id)
+	if !ok || len(sig) != ed25519.SignatureSize || key.A() == nil {
 		e.bad = true
 		return
 	}
-	e.pub = pub
+	e.key = key
 
 	if v.reg.cache != nil {
 		e.d = Hash(msg)
-		if v.reg.cache.Seen(id, pub, e.d, sig) {
+		if v.reg.cache.Seen(id, key.pub, e.d, sig) {
 			e.cached = true
 			return
 		}
 	}
 	if !v.reg.batch {
-		// Scalar fallback needs only (pub, msg, sig); don't pay for the
-		// point decompressions the batch equation would have used.
+		// Scalar fallback needs only (key, msg, sig); don't pay for the
+		// R decompression the batch equation would have used.
 		return
 	}
 
-	// Parse the curve elements, mirroring VerifySignature's structural
-	// rejections exactly: undecodable keys and commitments, a non-canonical
-	// R encoding (SetBytes accepts them, the round-trip comparison rejects),
-	// and a non-canonical s all fail on both paths.
-	e.A = new(edwards25519.Point)
-	e.R = new(edwards25519.Point)
-	e.S = new(edwards25519.Scalar)
-	if _, err := e.A.SetBytes(pub); err != nil {
+	// Parse R and s with VerifySignature's structural rejections.
+	R, S, ok := parseSignature(sig)
+	if !ok {
 		e.bad = true
 		return
 	}
-	if _, err := e.R.SetBytes(sig[:32]); err != nil {
-		e.bad = true
-		return
-	}
-	if subtle.ConstantTimeCompare(e.R.Bytes(), sig[:32]) != 1 {
-		e.bad = true
-		return
-	}
-	if _, err := e.S.SetCanonicalBytes(sig[32:]); err != nil {
-		e.bad = true
-		return
-	}
-	e.k = challengeScalar(sig[:32], pub, msg)
+	e.R, e.S = R, S
+	e.k = challengeScalar(sig[:32], key.pub, msg)
 }
 
 // Len reports how many checks have been queued.
@@ -167,7 +151,7 @@ func (v *BatchVerifier) Verify() []int {
 		}
 	} else {
 		for _, e := range live {
-			v.reg.cache.Note(e.id, e.pub, e.d, e.sig)
+			v.reg.cache.Note(e.id, e.key.pub, e.d, e.sig)
 		}
 	}
 	sortInts(failed)
@@ -206,29 +190,28 @@ func (v *BatchVerifier) assignCoefficients(live []*batchEntry) bool {
 // the final MultByCofactor clearing any small-order torsion exactly as
 // VerifySignature's single equation does.
 //
-// Entries signed by the same public key share one A term with coefficient
-// Σ z_i·k_i — algebraically identical, but it collapses the dominant cost of
-// the A side (full-width NAF additions plus a lookup table per point) to one
-// per distinct signer. In a consensus batch the signers are the handful of
-// cluster replicas, so this halves the equation's dynamic points.
+// Entries signed under the same registered key share one A term with
+// coefficient Σ z_i·k_i — algebraically identical, but it collapses the
+// dominant cost of the A side (full-width NAF additions plus a lookup table
+// per point) to one per distinct signer. In a consensus batch the signers
+// are the handful of cluster replicas, so this halves the equation's dynamic
+// points. The A points are the registry's cached decodings.
 func batchCheck(entries []*batchEntry) bool {
 	bCoeff := new(edwards25519.Scalar)
 	scalars := make([]*edwards25519.Scalar, 0, len(entries)+4)
 	points := make([]*edwards25519.Point, 0, len(entries)+4)
-	byKey := make(map[[ed25519.PublicKeySize]byte]*edwards25519.Scalar, 4)
+	byKey := make(map[*verifyKey]*edwards25519.Scalar, 4)
 	for _, e := range entries {
 		bCoeff.MultiplyAdd(e.z, e.S, bCoeff)
 		scalars = append(scalars, e.z)
 		points = append(points, e.R)
-		var key [ed25519.PublicKeySize]byte
-		copy(key[:], e.pub)
-		if acc := byKey[key]; acc != nil {
+		if acc := byKey[e.key]; acc != nil {
 			acc.MultiplyAdd(e.z, e.k, acc)
 		} else {
 			zk := new(edwards25519.Scalar).Multiply(e.z, e.k)
-			byKey[key] = zk
+			byKey[e.key] = zk
 			scalars = append(scalars, zk)
-			points = append(points, e.A)
+			points = append(points, e.key.A())
 		}
 	}
 	bCoeff.Negate(bCoeff)
@@ -257,7 +240,7 @@ func (v *BatchVerifier) bisect(live []*batchEntry) []int {
 			v.reg.cc.RecordBatch(len(entries))
 			if batchCheck(entries) {
 				for _, e := range entries {
-					v.reg.cache.Note(e.id, e.pub, e.d, e.sig)
+					v.reg.cache.Note(e.id, e.key.pub, e.d, e.sig)
 				}
 				return
 			}
@@ -272,20 +255,21 @@ func (v *BatchVerifier) bisect(live []*batchEntry) []int {
 }
 
 // scalarVerify settles one entry with the cofactored single equation
-// (VerifySignature's accept set), feeding the cache on success. Entries that
-// already carry parsed curve elements (batch path) skip re-parsing.
+// (VerifySignature's accept set) on the signer's fixed-base tables, feeding
+// the cache on success. Entries that already carry parsed curve elements
+// (batch path) skip re-parsing.
 func (v *BatchVerifier) scalarVerify(e *batchEntry) bool {
 	v.reg.cc.AddScalarVerify()
 	var ok bool
 	if e.k != nil {
-		ok = cofactoredEqual(e.A, e.R, e.S, e.k)
+		ok = e.key.cofactoredEqual(e.R, e.S, e.k)
 	} else {
-		ok = VerifySignature(e.pub, e.msg, e.sig)
+		ok = e.key.verify(e.msg, e.sig)
 	}
 	if !ok {
 		return false
 	}
-	v.reg.cache.Note(e.id, e.pub, e.d, e.sig)
+	v.reg.cache.Note(e.id, e.key.pub, e.d, e.sig)
 	return true
 }
 

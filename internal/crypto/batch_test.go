@@ -155,8 +155,9 @@ func TestBatchVerifyFeedsCache(t *testing.T) {
 
 // FuzzBatchVerify feeds the batch verifier pseudo-random mixes of valid,
 // corrupted, and cross-wired signatures and asserts (a) every verdict agrees
-// with VerifySignature — the cofactored scalar path every replica runs, the
-// agreement property the accelerator's safety rests on — and (b) also with
+// with VerifySignature — the cofactored reference equation, the agreement
+// property the accelerator's safety rests on — and so does Registry.Verify's
+// per-key fixed-base path on the same inputs, and (b) also with
 // crypto/ed25519.Verify, since for honest and randomly corrupted signatures
 // the cofactored and cofactorless accept sets coincide (they diverge only on
 // deliberately crafted small-order-torsion inputs, which random corruption
@@ -218,8 +219,12 @@ func FuzzBatchVerify(f *testing.F) {
 		for i := range msgs {
 			pub, _ := reg.PublicKey(ids[i])
 			got := !failedSet[i]
-			if want := VerifySignature(pub, msgs[i], sigs[i]); got != want {
+			want := VerifySignature(pub, msgs[i], sigs[i])
+			if got != want {
 				t.Fatalf("index %d: batch verdict %v, VerifySignature %v (failed=%v)", i, got, want, failed)
+			}
+			if scalar := reg.Verify(ids[i], msgs[i], sigs[i]) == nil; scalar != want {
+				t.Fatalf("index %d: Registry.Verify verdict %v, VerifySignature %v", i, scalar, want)
 			}
 			if want := ed25519.Verify(pub, msgs[i], sigs[i]); got != want {
 				t.Fatalf("index %d: batch verdict %v, ed25519.Verify %v (failed=%v)", i, got, want, failed)
@@ -229,9 +234,11 @@ func FuzzBatchVerify(f *testing.F) {
 }
 
 // BenchmarkVerifyBatch compares per-signature cost of the sequential scalar
-// path against the multi-scalar batch equation at the PrePrepare batch size.
-// The acceptance bar for this accelerator is batch64 >= 1.4x scalar
-// throughput (sigs/sec).
+// paths — the stdlib's ed25519.Verify, the VerifySignature reference that
+// decodes the key on every call, and Registry.Verify on the per-key
+// fixed-base state — against the multi-scalar batch equation at the
+// PrePrepare batch size. The acceptance bar for this accelerator is batch64
+// >= 1.4x scalar throughput (sigs/sec).
 func BenchmarkVerifyBatch(b *testing.B) {
 	f := newBatchFixture(b, 4, 64)
 	b.Run("scalar", func(b *testing.B) {
@@ -241,6 +248,24 @@ func BenchmarkVerifyBatch(b *testing.B) {
 			pub := f.kps[j%len(f.kps)].Public
 			if !ed25519.Verify(pub, f.msgs[j], f.sigs[j]) {
 				b.Fatal("verify failed")
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % 64
+			if !VerifySignature(f.kps[j%len(f.kps)].Public, f.msgs[j], f.sigs[j]) {
+				b.Fatal("verify failed")
+			}
+		}
+	})
+	b.Run("registry", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % 64
+			if err := f.reg.Verify(f.kps[j%len(f.kps)].ID, f.msgs[j], f.sigs[j]); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

@@ -154,11 +154,17 @@ func TestSignSeedsCache(t *testing.T) {
 // key they were proved under: after Registry.Add replaces a node's public
 // key, signatures verified under the old key must not keep validating via
 // cache hits — the public key is part of the cache key, so they miss and
-// fall through to a real (failing) verify.
+// fall through to a real (failing) verify. The per-key verification state
+// dies with the key too: once K1's point and fixed-base tables are in use,
+// K1's signatures must fail and K2's verify on every path of every
+// Accelerated view sharing the key set.
 func TestVerifyCacheKeyRotation(t *testing.T) {
 	old := MustGenerateKeyPair(7)
 	cc := &metrics.CryptoCounters{}
-	reg := NewRegistry(old).Accelerated(NewVerifyCache(0, cc), true, cc)
+	base := NewRegistry(old)
+	reg := base.Accelerated(NewVerifyCache(0, cc), true, cc)
+	views := verifyViews(base)
+	views["counted"] = reg
 
 	msg := []byte("signed before the key changed")
 	sig := old.Sign(msg)
@@ -171,10 +177,14 @@ func TestVerifyCacheKeyRotation(t *testing.T) {
 	if s := cc.Snapshot(); s.CacheHits != 1 {
 		t.Fatalf("expected 1 cache hit before rotation, got %d", s.CacheHits)
 	}
+	if base.snapshot()[old.ID].table == nil {
+		t.Fatal("K1's fixed-base tables were not built by the scalar path")
+	}
 
 	// Replace the key. The old signature is now invalid and must be
 	// re-checked for real, not served from the cache.
-	reg.Add(old.ID, MustGenerateKeyPair(7).Public)
+	k2 := MustGenerateKeyPair(7)
+	reg.Add(old.ID, k2.Public)
 	before := cc.Snapshot()
 	if err := reg.Verify(old.ID, msg, sig); err == nil {
 		t.Fatal("old-key signature still accepted after key rotation")
@@ -194,6 +204,20 @@ func TestVerifyCacheKeyRotation(t *testing.T) {
 	bv.Add(old.ID, msg, sig)
 	if failed := bv.Verify(); len(failed) != 1 {
 		t.Fatalf("batch accepted old-key signature after rotation: %v", failed)
+	}
+
+	// Every path of every view now judges id 7's signatures under K2.
+	if requireEveryPathAgrees(t, views, k2, msg, sig) {
+		t.Fatal("K1 signature valid under K2 on the reference path")
+	}
+	for i := 0; i < 4; i++ {
+		m := []byte{0x52, byte(i)}
+		if requireEveryPathAgrees(t, views, k2, m, old.Sign(m)) {
+			t.Fatalf("fresh K1 signature %d valid after rotation", i)
+		}
+		if !requireEveryPathAgrees(t, views, k2, m, k2.Sign(m)) {
+			t.Fatalf("K2 signature %d rejected after rotation", i)
+		}
 	}
 }
 

@@ -128,7 +128,9 @@ func (k *KeyPair) WithCache(cache *VerifyCache) *KeyPair {
 // Reads are lock-free: the key set is an immutable snapshot swapped
 // atomically by Add (copy-on-write). Verify sits on the consensus hot path
 // and runs concurrently on the verification pool's workers; keys change only
-// at setup, so writes may pay for the copy.
+// at setup, so writes may pay for the copy. Each key in the set carries its
+// verification state (verifyKey): the decoded point and fixed-base tables,
+// each built on first use.
 //
 // The key set lives behind pointers so Accelerated can hand out views that
 // share one set of keys while carrying their own verified-signature cache and
@@ -136,7 +138,7 @@ func (k *KeyPair) WithCache(cache *VerifyCache) *KeyPair {
 // object).
 type Registry struct {
 	mu   *sync.Mutex // serializes writers (Add); readers never take it
-	keys *atomic.Pointer[map[NodeID]ed25519.PublicKey]
+	keys *atomic.Pointer[map[NodeID]*verifyKey]
 
 	// Acceleration state, set by Accelerated. cache memoizes successful
 	// verifications (nil disables); batch enables the multi-scalar batch
@@ -150,11 +152,11 @@ type Registry struct {
 // Batch verification is enabled by default; there is no cache until
 // Accelerated attaches one.
 func NewRegistry(pairs ...*KeyPair) *Registry {
-	keys := make(map[NodeID]ed25519.PublicKey, len(pairs))
+	keys := make(map[NodeID]*verifyKey, len(pairs))
 	for _, kp := range pairs {
-		keys[kp.ID] = kp.Public
+		keys[kp.ID] = &verifyKey{pub: kp.Public}
 	}
-	r := &Registry{mu: &sync.Mutex{}, keys: &atomic.Pointer[map[NodeID]ed25519.PublicKey]{}, batch: true}
+	r := &Registry{mu: &sync.Mutex{}, keys: &atomic.Pointer[map[NodeID]*verifyKey]{}, batch: true}
 	r.keys.Store(&keys)
 	return r
 }
@@ -169,8 +171,14 @@ func (r *Registry) Accelerated(cache *VerifyCache, batchVerify bool, cc *metrics
 }
 
 // snapshot returns the current immutable key set. Callers must not mutate it.
-func (r *Registry) snapshot() map[NodeID]ed25519.PublicKey {
+func (r *Registry) snapshot() map[NodeID]*verifyKey {
 	return *r.keys.Load()
+}
+
+// key returns id's verification state, if id is registered.
+func (r *Registry) key(id NodeID) (*verifyKey, bool) {
+	k, ok := r.snapshot()[id]
+	return k, ok
 }
 
 // Add registers a public key, e.g. a data center key learned at setup. The
@@ -178,23 +186,28 @@ func (r *Registry) snapshot() map[NodeID]ed25519.PublicKey {
 // snapshot without locking. Replacing an existing id's key is safe with
 // respect to the verified-signature cache: entries are keyed by the public
 // key they verified under, so proofs made under the old key stop hitting the
-// moment the key changes.
+// moment the key changes. It is safe for the per-key verification state
+// too: Add installs a fresh one, never reusing the old key's point or
+// tables.
 func (r *Registry) Add(id NodeID, pub ed25519.PublicKey) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old := r.snapshot()
-	keys := make(map[NodeID]ed25519.PublicKey, len(old)+1)
+	keys := make(map[NodeID]*verifyKey, len(old)+1)
 	for k, v := range old {
 		keys[k] = v
 	}
-	keys[id] = pub
+	keys[id] = &verifyKey{pub: pub}
 	r.keys.Store(&keys)
 }
 
 // PublicKey returns the key for id, if known.
 func (r *Registry) PublicKey(id NodeID) (ed25519.PublicKey, bool) {
-	pub, ok := r.snapshot()[id]
-	return pub, ok
+	k, ok := r.key(id)
+	if !ok {
+		return nil, false
+	}
+	return k.pub, true
 }
 
 // IDs returns all registered node IDs in ascending order.
@@ -214,14 +227,16 @@ func (r *Registry) Len() int {
 }
 
 // Verify checks that sig is a valid signature by id over msg, using the
-// cofactored single equation (VerifySignature) — the same deterministic
-// accept set as the batch path. When the registry carries a
-// verified-signature cache, a previously verified (id, key, msg, sig) tuple
-// returns immediately without touching the curve; fresh successes are
-// recorded for next time. Hashing msg for the cache key costs ~1% of the
-// scalar multiplication it saves on a hit.
+// cofactored single equation — VerifySignature's deterministic accept set,
+// shared with the batch path — evaluated on id's cached verification state:
+// the key is not decoded again, and [s]B − [k]A runs on fixed-base tables
+// of both B and the key. When the registry carries a verified-signature
+// cache, a previously verified (id, key, msg, sig) tuple returns immediately
+// without touching the curve; fresh successes are recorded for next time.
+// Hashing msg for the cache key costs ~1% of the scalar multiplication it
+// saves on a hit.
 func (r *Registry) Verify(id NodeID, msg, sig []byte) error {
-	pub, ok := r.PublicKey(id)
+	key, ok := r.key(id)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownSigner, id)
 	}
@@ -231,15 +246,15 @@ func (r *Registry) Verify(id NodeID, msg, sig []byte) error {
 	var d Digest
 	if r.cache != nil {
 		d = Hash(msg)
-		if r.cache.Seen(id, pub, d, sig) {
+		if r.cache.Seen(id, key.pub, d, sig) {
 			return nil
 		}
 	}
 	r.cc.AddScalarVerify()
-	if !VerifySignature(pub, msg, sig) {
+	if !key.verify(msg, sig) {
 		return fmt.Errorf("%w: from %v", ErrInvalidSignature, id)
 	}
-	r.cache.Note(id, pub, d, sig)
+	r.cache.Note(id, key.pub, d, sig)
 	return nil
 }
 

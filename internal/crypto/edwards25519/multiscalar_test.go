@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func randomScalar(t *testing.T) *Scalar {
+func randomScalar(t testing.TB) *Scalar {
 	t.Helper()
 	var wide [64]byte
 	if _, err := rand.Read(wide[:]); err != nil {

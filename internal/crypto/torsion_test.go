@@ -44,14 +44,6 @@ func smallOrderPoint(t *testing.T) *edwards25519.Point {
 // component), so this is signer-side malleability, not a forgery.
 func torsionSignature(t *testing.T, kp *KeyPair, msg []byte) []byte {
 	t.Helper()
-
-	// Expand the private scalar a exactly as Ed25519 key expansion does.
-	h := sha512.Sum512(kp.private.Seed())
-	a, err := new(edwards25519.Scalar).SetBytesWithClamping(h[:32])
-	if err != nil {
-		t.Fatalf("clamp private scalar: %v", err)
-	}
-
 	var wide [64]byte
 	if _, err := rand.Read(wide[:]); err != nil {
 		t.Fatalf("read nonce: %v", err)
@@ -63,12 +55,64 @@ func torsionSignature(t *testing.T, kp *KeyPair, msg []byte) []byte {
 
 	R := new(edwards25519.Point).ScalarBaseMult(r)
 	R.Add(R, smallOrderPoint(t)) // plant the torsion defect
-	renc := R.Bytes()
+	return signWithCommitment(t, kp, msg, R.Bytes(), r)
+}
 
+// signWithCommitment signs msg with kp's private key a over the given
+// commitment encoding renc and nonce r: s = k·a + r, k = SHA-512(renc ‖ A ‖
+// msg). The caller picks renc, which lets a test encode R in ways an honest
+// signer never would.
+func signWithCommitment(t *testing.T, kp *KeyPair, msg, renc []byte, r *edwards25519.Scalar) []byte {
+	t.Helper()
+	// Expand the private scalar a exactly as Ed25519 key expansion does.
+	h := sha512.Sum512(kp.private.Seed())
+	a, err := new(edwards25519.Scalar).SetBytesWithClamping(h[:32])
+	if err != nil {
+		t.Fatalf("clamp private scalar: %v", err)
+	}
 	k := challengeScalar(renc, kp.Public, msg)
 	s := new(edwards25519.Scalar).MultiplyAdd(k, a, r) // s = k·a + r
-
 	return append(append([]byte{}, renc...), s.Bytes()...)
+}
+
+// verifyViews returns reg and two Accelerated views of its key set: one
+// with a verified-signature cache and one with batch verification off.
+func verifyViews(reg *Registry) map[string]*Registry {
+	return map[string]*Registry{
+		"plain":    reg,
+		"cached":   reg.Accelerated(NewVerifyCache(0, nil), true, nil),
+		"no-batch": reg.Accelerated(nil, false, nil),
+	}
+}
+
+// requireEveryPathAgrees requires every verification path of every view to
+// return VerifySignature's verdict on (msg, sig) under signer's key, which
+// must be the key the views hold for signer.ID: Registry.Verify (the
+// per-key fixed-base path) and the BatchVerifier alone (scalar fallback) and
+// among valid signatures (batch equation, then bisection if sig is bad). It
+// returns that verdict.
+func requireEveryPathAgrees(t *testing.T, views map[string]*Registry, signer *KeyPair, msg, sig []byte) bool {
+	t.Helper()
+	want := VerifySignature(signer.Public, msg, sig)
+	for name, view := range views {
+		if got := view.Verify(signer.ID, msg, sig) == nil; got != want {
+			t.Fatalf("%s: Registry.Verify=%v, VerifySignature=%v", name, got, want)
+		}
+		for _, fill := range []int{0, 7} {
+			bv := view.NewBatchVerifier(fill + 1)
+			for i := 0; i < fill; i++ {
+				m := []byte{0xbb, byte(i)}
+				bv.Add(signer.ID, m, signer.Sign(m))
+			}
+			bv.Add(signer.ID, msg, sig)
+			failed := bv.Verify()
+			got := len(failed) == 0
+			if got != want || (!want && (len(failed) != 1 || failed[0] != fill)) {
+				t.Fatalf("%s, %d valid alongside: batch failed=%v, VerifySignature=%v", name, fill, failed, want)
+			}
+		}
+	}
+	return want
 }
 
 // TestTorsionSignatureDeterministic is the regression test for the batch
@@ -98,6 +142,7 @@ func TestTorsionSignatureDeterministic(t *testing.T) {
 	if err := reg.Verify(kps[0].ID, msg, sig); err != nil {
 		t.Fatalf("Registry.Verify rejected the torsion signature: %v", err)
 	}
+	requireEveryPathAgrees(t, verifyViews(reg), kps[0], msg, sig)
 
 	// Batch path: the verdict must agree with the scalar path on every run.
 	// 64 trials redraw the random z coefficients each time; under the old
@@ -164,5 +209,45 @@ func TestMultByCofactor(t *testing.T) {
 	small := smallOrderPoint(t)
 	if new(edwards25519.Point).MultByCofactor(small).Equal(edwards25519.NewIdentityPoint()) != 1 {
 		t.Fatal("MultByCofactor did not clear a small-order point")
+	}
+}
+
+// TestNonCanonicalCommitment drives every verification path with signatures
+// that satisfy the cofactored equation but encode R in every way SetBytes
+// accepts for a point with x = 0 or a small y: the nonce r = 0 makes R the
+// identity, and adding a small-order point makes it (0, −1) or (±√−1, 0).
+// The canonical encodings are valid; the unreduced-y and signed-x = 0 ones
+// are not, and each path must say so exactly as VerifySignature does.
+func TestNonCanonicalCommitment(t *testing.T) {
+	kp := MustGenerateKeyPair(3)
+	views := verifyViews(NewRegistry(kp))
+	ones := bytes.Repeat([]byte{0xff}, 30)
+	zeros := make([]byte, 30)
+	enc := func(lo byte, mid []byte, hi byte) []byte {
+		return append(append([]byte{lo}, mid...), hi)
+	}
+	cases := []struct {
+		name  string
+		renc  []byte
+		valid bool
+	}{
+		{"identity", enc(0x01, zeros, 0x00), true},
+		{"identity, sign bit", enc(0x01, zeros, 0x80), false},
+		{"identity, y=p+1", enc(0xee, ones, 0x7f), false},
+		{"identity, y=p+1, sign bit", enc(0xee, ones, 0xff), false},
+		{"(0,-1)", enc(0xec, ones, 0x7f), true},
+		{"(0,-1), sign bit", enc(0xec, ones, 0xff), false},
+		{"(x,0)", enc(0x00, zeros, 0x00), true},
+		{"(-x,0)", enc(0x00, zeros, 0x80), true},
+		{"(x,0), y=p", enc(0xed, ones, 0x7f), false},
+		{"(-x,0), y=p", enc(0xed, ones, 0xff), false},
+	}
+	zero := edwards25519.NewScalar()
+	for _, c := range cases {
+		msg := []byte("commitment " + c.name)
+		sig := signWithCommitment(t, kp, msg, c.renc, zero)
+		if got := requireEveryPathAgrees(t, views, kp, msg, sig); got != c.valid {
+			t.Fatalf("%s: VerifySignature=%v, want %v", c.name, got, c.valid)
+		}
 	}
 }

@@ -108,6 +108,11 @@ type Engine struct {
 	pinnedView  uint64
 	lastNewView *NewView
 	helped      map[crypto.NodeID]uint64
+
+	// future holds phase messages for views this replica has not installed
+	// yet (see deferPhase); futureBySender bounds each sender's share.
+	future         []futureMsg
+	futureBySender map[crypto.NodeID]int
 }
 
 // NewEngine creates a PBFT engine. kp must belong to cfg.ID and reg must
@@ -262,6 +267,10 @@ func (e *Engine) receive(from crypto.NodeID, msg wire.Message, preVerified bool)
 		if err := verify(s, e.reg); err != nil {
 			return nil
 		}
+	}
+	if view, seq, ok := phaseSlot(msg); ok && view > e.view {
+		e.deferPhase(from, msg, seq, preVerified)
+		return nil
 	}
 	switch m := msg.(type) {
 	case *PrePrepare:

@@ -161,8 +161,10 @@ func (r *Runner) Inspect(f func(e *Engine)) {
 // preprepares, the embedded request signature) has been checked on a pool
 // worker or, without a pool, on this delivery goroutine. Dropping garbage
 // here also means Byzantine flooding burns pool workers, not the ordering
-// path. Pool tasks may complete in any order; PBFT tolerates reordered
-// delivery, so no resequencing is needed (see DESIGN.md).
+// path. Pool tasks may complete in any order. The engine absorbs that
+// without resequencing: phase messages arriving before their preprepare
+// wait in the instance log, and those for a view not yet installed wait in
+// the engine's future-view buffer (see DESIGN.md).
 func (r *Runner) onMessage(from crypto.NodeID, data []byte) {
 	msg, err := wire.Unmarshal(data)
 	if err != nil {

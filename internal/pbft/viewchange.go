@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"zugchain/internal/crypto"
+	"zugchain/internal/wire"
 )
 
 // startViewChange abandons the current view and broadcasts a ViewChange for
@@ -421,6 +422,7 @@ func (e *Engine) installNewView(nv *NewView) []Action {
 	for i := range nv.PrePrepares {
 		actions = append(actions, e.acceptPrePrepare(&nv.PrePrepares[i])...)
 	}
+	actions = append(actions, e.replayFuture()...)
 
 	actions = append(actions, NewPrimaryAction{View: e.view, Primary: e.primaryOf(e.view)})
 	actions = append(actions, e.drainProposals()...)
@@ -435,4 +437,80 @@ func (e *Engine) OnViewTimer(view uint64) []Action {
 		return nil
 	}
 	return e.startViewChange(view+1, true)
+}
+
+// futureMsg is a signature-checked phase message that arrived for a view
+// above the current one.
+type futureMsg struct {
+	from        crypto.NodeID
+	msg         wire.Message
+	preVerified bool
+}
+
+// phaseSlot returns the view and sequence number of a normal-case phase
+// message (PrePrepare, Prepare, Commit).
+func phaseSlot(msg wire.Message) (view, seq uint64, ok bool) {
+	switch m := msg.(type) {
+	case *PrePrepare:
+		return m.View, m.Seq, true
+	case *Prepare:
+		return m.View, m.Seq, true
+	case *Commit:
+		return m.View, m.Seq, true
+	}
+	return 0, 0, false
+}
+
+// deferPhase keeps a phase message for a view this replica has not entered.
+// The new primary broadcasts its NewView and then its first preprepares, but
+// inbound signature checks complete in any order, and a backup still
+// finishing the view change sees the peers' prepares and commits for the new
+// view early too. Dropping them would leave the slot one vote short of a
+// quorum, and nothing retransmits phase messages, so the slot — and every
+// slot executed after it — would stall until the next view change.
+// installNewView replays the buffer. Each sender's share is capped at three
+// messages per watermark slot, so a Byzantine peer announcing far-future
+// views can only fill its own share.
+func (e *Engine) deferPhase(from crypto.NodeID, msg wire.Message, seq uint64, preVerified bool) {
+	if !e.inWatermarks(seq) {
+		return
+	}
+	if e.futureBySender == nil {
+		e.futureBySender = make(map[crypto.NodeID]int)
+	}
+	if uint64(e.futureBySender[from]) >= 3*e.cfg.WatermarkWindow {
+		return
+	}
+	e.futureBySender[from]++
+	e.future = append(e.future, futureMsg{from: from, msg: msg, preVerified: preVerified})
+}
+
+// replayFuture feeds buffered phase messages for the view just installed
+// through the normal handlers, drops those for views now behind, and keeps
+// those for views still ahead.
+func (e *Engine) replayFuture() []Action {
+	if len(e.future) == 0 {
+		return nil
+	}
+	pending := e.future
+	e.future = nil
+	e.futureBySender = nil
+	var actions []Action
+	for _, f := range pending {
+		view, seq, _ := phaseSlot(f.msg)
+		switch {
+		case view > e.view:
+			e.deferPhase(f.from, f.msg, seq, f.preVerified)
+		case view == e.view:
+			switch m := f.msg.(type) {
+			case *PrePrepare:
+				actions = append(actions, e.onPrePrepare(m, f.preVerified)...)
+			case *Prepare:
+				actions = append(actions, e.onPrepare(m)...)
+			case *Commit:
+				actions = append(actions, e.onCommit(m)...)
+			}
+		}
+	}
+	return actions
 }

@@ -353,3 +353,77 @@ func TestNoReentryBelowPromisedView(t *testing.T) {
 		t.Errorf("r3 left the view change without reaching its promised view")
 	}
 }
+
+// TestPhaseMessagesBeforeNewViewAreKept: a backup still finishing the view
+// change receives the new primary's preprepare, and the peers' prepares and
+// commits, before the NewView that installs the view — inbound signature
+// checks complete in any order. Those messages must be replayed once the
+// view is installed; with the old primary silent, the slot cannot commit
+// without the late backup's votes.
+func TestPhaseMessagesBeforeNewViewAreKept(t *testing.T) {
+	c := newCluster(t, 4, nil)
+	var held []packet
+	release := false
+	c.filter = func(p packet) bool {
+		if p.from == 0 || p.to == 0 {
+			return false // the old primary is cut off
+		}
+		msg, err := unmarshalPacket(p)
+		if err != nil {
+			return true
+		}
+		if _, ok := msg.(*NewView); ok && p.to == 3 && !release {
+			held = append(held, p)
+			return false
+		}
+		return true
+	}
+	c.suspect(1, 2, 3)
+	c.run()
+	if len(held) == 0 {
+		t.Fatal("setup: no NewView sent to r3")
+	}
+	if c.engines[3].View() != 0 {
+		t.Fatal("setup: r3 installed view 1 without the NewView")
+	}
+
+	c.propose(1, "censored")
+	c.run()
+	if got := len(c.delivered[1]); got != 0 {
+		t.Fatalf("setup: r1 delivered %d requests without r3's commit", got)
+	}
+
+	release = true
+	c.queue = append(c.queue, held...)
+	c.run()
+	for _, id := range []crypto.NodeID{1, 2, 3} {
+		got := c.delivered[id]
+		if len(got) != 1 || string(got[0].Req.Payload) != "censored" {
+			t.Fatalf("replica %v delivered %v, want the censored request", id, got)
+		}
+	}
+	c.assertAgreement()
+}
+
+// TestFutureViewBufferIsBounded: a Byzantine replica announcing phase
+// messages for a far-future view fills only its own share of the buffer.
+func TestFutureViewBufferIsBounded(t *testing.T) {
+	c := newCluster(t, 4, nil)
+	e := c.engines[0]
+	window := e.cfg.WatermarkWindow
+	for i := uint64(0); i < 10*window; i++ {
+		p := &Prepare{View: 1000, Seq: 1 + i%window, Replica: 3}
+		sign(p, c.kps[3])
+		e.Receive(3, p)
+	}
+	if got := uint64(len(e.future)); got != 3*window {
+		t.Errorf("buffered %d future messages from one sender, want cap %d", got, 3*window)
+	}
+	// An out-of-watermark slot is not buffered at all.
+	p := &Prepare{View: 1, Seq: window + 1, Replica: 2}
+	sign(p, c.kps[2])
+	e.Receive(2, p)
+	if e.futureBySender[2] != 0 {
+		t.Error("buffered a future message outside the watermarks")
+	}
+}
