@@ -21,7 +21,9 @@ lint:
 		echo "staticcheck not installed; skipped"; fi
 
 # check is the pre-merge gate: lint, build, race-test the consensus, crypto,
-# ordering, persistence, transport, and observability packages, race-test WAL
+# ordering, persistence, transport, and observability packages (the
+# consensus, ordering, node and baseline packages at GOMAXPROCS 1, 2 and 4,
+# so interleavings a single core never produces get exercised), race-test WAL
 # durability and crash-restart recovery plus a chaos crash/partition smoke
 # (which now also asserts the consensus event journal), fuzz the WAL decoder,
 # the batch verifier and the canonical point-encoding check briefly,
@@ -30,10 +32,9 @@ lint:
 # benchmark cannot rot unnoticed.
 check: lint
 	$(GO) build ./...
-	$(GO) test -race ./internal/pbft/... ./internal/crypto/...
-	$(GO) test -race ./internal/core ./internal/blockchain
+	$(GO) test -race ./internal/crypto/... ./internal/blockchain ./internal/wal
+	$(GO) test -race -cpu 1,2,4 ./internal/pbft/... ./internal/core ./internal/node ./internal/baseline
 	$(GO) test -race ./internal/transport
-	$(GO) test -race ./internal/wal ./internal/node
 	$(GO) test -race ./internal/obsv ./internal/metrics
 	$(GO) test -race -run 'TestChaos' ./internal/testbed
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal

@@ -470,5 +470,5 @@ func benchOrdering(b *testing.B, maxBatch int, trs map[crypto.NodeID]transport.T
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(total)/secs, "records/s")
 	}
-	b.ReportMetric(float64(nodes[0].Layer().Batches().Snapshot().Flushes), "flushes")
+	b.ReportMetric(float64(nodes[0].Layer().Batches().Flushes.Load()), "flushes")
 }

@@ -25,7 +25,6 @@ import (
 	"zugchain/internal/crypto"
 	"zugchain/internal/export"
 	"zugchain/internal/keyring"
-	"zugchain/internal/metrics"
 	"zugchain/internal/netsim"
 	"zugchain/internal/obsv"
 	"zugchain/internal/transport"
@@ -70,8 +69,7 @@ func run() error {
 	// Count the export path's checkpoint/block verifications like a node
 	// counts its own: the accelerated view shares the key set but owns its
 	// counters.
-	cc := &metrics.CryptoCounters{}
-	reg = reg.Accelerated(nil, false, cc)
+	reg = reg.Accelerated(nil, false, nil)
 	replicaAddrs, err := cli.ParsePeers(*replicasFlag)
 	if err != nil {
 		return err
@@ -102,9 +100,9 @@ func run() error {
 	// without the lifecycle tracer: archive gauges, net, crypto, and
 	// group-commit counters are the interesting families here.
 	obs := obsv.NewObserver(obsv.Options{DisableTrace: true})
-	obsv.RegisterNet(obs.Registry, tcp.NetCounters())
-	obsv.RegisterCrypto(obs.Registry, cc)
-	obsv.RegisterGroupCommit(obs.Registry, archive.GroupCommits())
+	obs.Registry.RegisterFamily("net", tcp.NetCounters())
+	obs.Registry.RegisterFamily("crypto", reg.Counters())
+	obs.Registry.RegisterFamily("store", archive.GroupCommits())
 	obs.Registry.Register("chain", func() []obsv.Metric {
 		return []obsv.Metric{
 			{Name: "zugchain_chain_height", Help: "Archive head index", Kind: obsv.KindGauge, Value: float64(archive.HeadIndex())},

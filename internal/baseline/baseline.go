@@ -231,7 +231,7 @@ func (n *Node) HandleFrame(frame mvb.Frame) {
 func (n *Node) Submit(payload []byte) {
 	req := pbft.Request{Payload: payload}
 	pbft.SignRequest(&req, n.kp)
-	n.counters.AddSignature()
+	n.counters.Signatures.Add(1)
 
 	n.mu.Lock()
 	if n.closed {
@@ -405,7 +405,7 @@ type baselineApp Node
 // duplicates included, which is precisely the baseline's overhead.
 func (a *baselineApp) Deliver(seq uint64, req pbft.Request) {
 	n := (*Node)(a)
-	n.counters.AddRequest()
+	n.counters.Requests.Add(1)
 
 	digest := req.Digest()
 	n.mu.Lock()

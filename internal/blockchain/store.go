@@ -279,7 +279,7 @@ func (s *Store) Sync() error {
 	if s.dir == "" {
 		return nil
 	}
-	s.gc.AddSync()
+	s.gc.Syncs.Add(1)
 	// An empty request round-trips through the commit loop, which
 	// serializes it after any in-flight group.
 	return s.submitWrite(&writeReq{err: make(chan error, 1)})

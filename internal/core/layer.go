@@ -300,13 +300,13 @@ func (l *Layer) OnBusRecord(src int, payload []byte) {
 	if l.decided.contains(digest) {
 		// Already logged: nothing to do (ln. 7 inLog check; for backups
 		// an already-decided request needs no timer either).
-		l.counters.AddDuplicate()
+		l.counters.Duplicates.Add(1)
 		return
 	}
 	if _, inR := l.open[digest]; inR {
 		// Already pending (e.g. a peer broadcast arrived first); the
 		// existing timers cover it.
-		l.counters.AddDuplicate()
+		l.counters.Duplicates.Add(1)
 		return
 	}
 
@@ -368,7 +368,7 @@ func (l *Layer) decideOneLocked(seq uint64, req pbft.Request) {
 		if !st.proposed {
 			// Our own copy of this payload never had to be ordered:
 			// one duplicate avoided by the filtering.
-			l.counters.AddDuplicate()
+			l.counters.Duplicates.Add(1)
 		}
 		l.removeLocked(digest, st) // ln. 13–16: delete from R, cancel timers
 	}
@@ -380,14 +380,14 @@ func (l *Layer) decideOneLocked(seq uint64, req pbft.Request) {
 	if l.decided.contains(digest) {
 		// ln. 17–18: the primary proposed a duplicate inside the sliding
 		// window — it is not filtering correctly.
-		l.counters.AddDuplicate()
+		l.counters.Duplicates.Add(1)
 		l.bft.Suspect(l.primary)
 		return
 	}
 
 	// ln. 20: append to the log with the id of the origin node.
 	l.decided.add(digest, seq)
-	l.counters.AddRequest()
+	l.counters.Requests.Add(1)
 	l.rec.Log(seq, req.Origin, req.Payload, req.Sig)
 	l.tracer.FinishRecord(digest, seq)
 }
@@ -482,7 +482,7 @@ func (l *Layer) admitPeerRequest(req pbft.Request) {
 		return
 	}
 	if l.decided.contains(digest) {
-		l.counters.AddDuplicate()
+		l.counters.Duplicates.Add(1)
 		return // ln. 26–27: already in the log
 	}
 
@@ -500,7 +500,7 @@ func (l *Layer) admitPeerRequest(req pbft.Request) {
 
 	// New to us: admitted subject to the per-origin limit (fault (iii)).
 	if l.perNode[req.Origin] >= l.cfg.MaxOpenPerOrigin {
-		l.counters.AddDuplicate() // accounted as filtered load
+		l.counters.Duplicates.Add(1) // accounted as filtered load
 		return
 	}
 
@@ -541,7 +541,7 @@ func (l *Layer) proposeLocked(st *reqState, origin crypto.NodeID) {
 		// Our own bus input: authenticate and include our node id (ln. 8).
 		pbft.SignRequest(&st.req, l.kp)
 		st.origin = l.cfg.ID
-		l.counters.AddSignature()
+		l.counters.Signatures.Add(1)
 	}
 	if l.tracer != nil { // guard: PayloadDigest hashes when not cached
 		l.tracer.StampRecord(st.req.PayloadDigest(), obsv.PhaseBatch)
@@ -599,7 +599,7 @@ func (l *Layer) flushBatchLocked(byDelay bool) {
 	// The batch envelope is our proposal: sign it as ourselves. The inner
 	// records keep their own origins and signatures.
 	pbft.SignRequest(&req, l.kp)
-	l.counters.AddSignature()
+	l.counters.Signatures.Add(1)
 	l.bft.Propose(req)
 }
 
@@ -658,7 +658,7 @@ func (l *Layer) onSoftTimeout(digest crypto.Digest) {
 	if st.req.Sig == nil {
 		pbft.SignRequest(&st.req, l.kp)
 		st.origin = l.cfg.ID
-		l.counters.AddSignature()
+		l.counters.Signatures.Add(1)
 	}
 	l.armHardTimeout(digest, st)
 	data := wire.Marshal(&ZCRequest{Req: st.req})

@@ -232,7 +232,7 @@ func (v *BatchVerifier) bisect(live []*batchEntry) []int {
 		}
 		return []int{0}
 	}
-	v.reg.cc.AddBisection()
+	v.reg.cc.Bisections.Add(1)
 	mid := len(live) / 2
 	var failed []int
 	half := func(entries []*batchEntry, offset int) {
@@ -259,7 +259,7 @@ func (v *BatchVerifier) bisect(live []*batchEntry) []int {
 // the cache on success. Entries that already carry parsed curve elements
 // (batch path) skip re-parsing.
 func (v *BatchVerifier) scalarVerify(e *batchEntry) bool {
-	v.reg.cc.AddScalarVerify()
+	v.reg.cc.ScalarVerifies.Add(1)
 	var ok bool
 	if e.k != nil {
 		ok = e.key.cofactoredEqual(e.R, e.S, e.k)

@@ -117,12 +117,11 @@ func TestBatchVerifyDisabled(t *testing.T) {
 	if len(failed) != 1 || failed[0] != 5 {
 		t.Fatalf("got failures %v, want [5]", failed)
 	}
-	s := cc.Snapshot()
-	if s.BatchOps != 0 {
-		t.Fatalf("batch disabled but %d batch ops recorded", s.BatchOps)
+	if got := cc.BatchOps.Load(); got != 0 {
+		t.Fatalf("batch disabled but %d batch ops recorded", got)
 	}
-	if s.ScalarVerifies != 32 {
-		t.Fatalf("expected 32 scalar verifies, got %d", s.ScalarVerifies)
+	if got := cc.ScalarVerifies.Load(); got != 32 {
+		t.Fatalf("expected 32 scalar verifies, got %d", got)
 	}
 }
 
@@ -136,20 +135,19 @@ func TestBatchVerifyFeedsCache(t *testing.T) {
 	if failed := f.verifier().Verify(); failed != nil {
 		t.Fatalf("first pass failed: %v", failed)
 	}
-	before := cc.Snapshot()
-	if before.BatchedSigs != 32 {
-		t.Fatalf("expected 32 batched sigs, got %d", before.BatchedSigs)
+	batched, scalar := cc.BatchedSigs.Load(), cc.ScalarVerifies.Load()
+	if batched != 32 {
+		t.Fatalf("expected 32 batched sigs, got %d", batched)
 	}
 
 	if failed := f.verifier().Verify(); failed != nil {
 		t.Fatalf("second pass failed: %v", failed)
 	}
-	after := cc.Snapshot()
-	if after.CacheHits != 32 {
-		t.Fatalf("expected 32 cache hits on retransmit, got %d", after.CacheHits)
+	if got := cc.CacheHits.Load(); got != 32 {
+		t.Fatalf("expected 32 cache hits on retransmit, got %d", got)
 	}
-	if after.BatchedSigs != before.BatchedSigs || after.ScalarVerifies != before.ScalarVerifies {
-		t.Fatalf("retransmit did curve work: %+v -> %+v", before, after)
+	if b, s := cc.BatchedSigs.Load(), cc.ScalarVerifies.Load(); b != batched || s != scalar {
+		t.Fatalf("retransmit did curve work: batched %d -> %d, scalar %d -> %d", batched, b, scalar, s)
 	}
 }
 
@@ -298,6 +296,6 @@ func BenchmarkVerifyCachedRetransmit(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	s := cc.Snapshot()
-	b.ReportMetric(s.HitRate*100, "hit%")
+	hits, misses := cc.CacheHits.Load(), cc.CacheMisses.Load()
+	b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit%")
 }

@@ -56,10 +56,14 @@ type VerifyCache struct {
 }
 
 // NewVerifyCache returns a cache bounded to capacity entries overall.
-// capacity <= 0 selects DefaultVerifyCacheSize. cc may be nil.
+// capacity <= 0 selects DefaultVerifyCacheSize. A nil cc gets a private
+// counter set nobody reads.
 func NewVerifyCache(capacity int, cc *metrics.CryptoCounters) *VerifyCache {
 	if capacity <= 0 {
 		capacity = DefaultVerifyCacheSize
+	}
+	if cc == nil {
+		cc = &metrics.CryptoCounters{}
 	}
 	c := &VerifyCache{cc: cc}
 	// Distribute the bound across shards, rounding up so small capacities
@@ -95,9 +99,9 @@ func (c *VerifyCache) Seen(id NodeID, pub ed25519.PublicKey, d Digest, sig []byt
 	}
 	s.mu.Unlock()
 	if ok {
-		c.cc.AddCacheHit()
+		c.cc.CacheHits.Add(1)
 	} else {
-		c.cc.AddCacheMiss()
+		c.cc.CacheMisses.Add(1)
 	}
 	return ok
 }
@@ -130,7 +134,7 @@ func (c *VerifyCache) Note(id NodeID, pub ed25519.PublicKey, d Digest, sig []byt
 	s.entries[k] = s.order.PushFront(k)
 	s.mu.Unlock()
 	if evicted {
-		c.cc.AddCacheEviction()
+		c.cc.CacheEvictions.Add(1)
 	}
 }
 

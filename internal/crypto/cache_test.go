@@ -45,7 +45,7 @@ func TestVerifyCacheHitMissEvict(t *testing.T) {
 	if c.Len() > 16 {
 		t.Fatalf("cache grew past capacity: %d", c.Len())
 	}
-	if s := cc.Snapshot(); s.CacheEvictions == 0 {
+	if cc.CacheEvictions.Load() == 0 {
 		t.Fatal("no evictions recorded after overfill")
 	}
 
@@ -104,12 +104,11 @@ func TestRegistryVerifyCached(t *testing.T) {
 			t.Fatalf("verify %d: %v", i, err)
 		}
 	}
-	s := cc.Snapshot()
-	if s.ScalarVerifies != 1 {
-		t.Fatalf("expected 1 scalar verify, got %d", s.ScalarVerifies)
+	if got := cc.ScalarVerifies.Load(); got != 1 {
+		t.Fatalf("expected 1 scalar verify, got %d", got)
 	}
-	if s.CacheHits != 2 {
-		t.Fatalf("expected 2 cache hits, got %d", s.CacheHits)
+	if got := cc.CacheHits.Load(); got != 2 {
+		t.Fatalf("expected 2 cache hits, got %d", got)
 	}
 
 	// A failed verification must not be cached.
@@ -119,8 +118,8 @@ func TestRegistryVerifyCached(t *testing.T) {
 			t.Fatal("bad signature accepted")
 		}
 	}
-	if s := cc.Snapshot(); s.ScalarVerifies != 3 {
-		t.Fatalf("bad signature was cached: %d scalar verifies", s.ScalarVerifies)
+	if got := cc.ScalarVerifies.Load(); got != 3 {
+		t.Fatalf("bad signature was cached: %d scalar verifies", got)
 	}
 }
 
@@ -139,8 +138,8 @@ func TestSignSeedsCache(t *testing.T) {
 	if err := reg.Verify(kp.ID, msg, sig); err != nil {
 		t.Fatalf("verify own signature: %v", err)
 	}
-	if s := cc.Snapshot(); s.ScalarVerifies != 0 {
-		t.Fatalf("own signature cost %d scalar verifies, want 0", s.ScalarVerifies)
+	if got := cc.ScalarVerifies.Load(); got != 0 {
+		t.Fatalf("own signature cost %d scalar verifies, want 0", got)
 	}
 
 	// The original pair stays cache-free.
@@ -174,8 +173,8 @@ func TestVerifyCacheKeyRotation(t *testing.T) {
 	if err := reg.Verify(old.ID, msg, sig); err != nil {
 		t.Fatalf("cached verify under original key: %v", err)
 	}
-	if s := cc.Snapshot(); s.CacheHits != 1 {
-		t.Fatalf("expected 1 cache hit before rotation, got %d", s.CacheHits)
+	if got := cc.CacheHits.Load(); got != 1 {
+		t.Fatalf("expected 1 cache hit before rotation, got %d", got)
 	}
 	if base.snapshot()[old.ID].table == nil {
 		t.Fatal("K1's fixed-base tables were not built by the scalar path")
@@ -185,17 +184,15 @@ func TestVerifyCacheKeyRotation(t *testing.T) {
 	// re-checked for real, not served from the cache.
 	k2 := MustGenerateKeyPair(7)
 	reg.Add(old.ID, k2.Public)
-	before := cc.Snapshot()
+	hits, scalar := cc.CacheHits.Load(), cc.ScalarVerifies.Load()
 	if err := reg.Verify(old.ID, msg, sig); err == nil {
 		t.Fatal("old-key signature still accepted after key rotation")
 	}
-	after := cc.Snapshot()
-	if after.CacheHits != before.CacheHits {
+	if cc.CacheHits.Load() != hits {
 		t.Fatal("old-key signature hit the cache after key rotation")
 	}
-	if after.ScalarVerifies != before.ScalarVerifies+1 {
-		t.Fatalf("expected a real verify after rotation, got %d -> %d scalar verifies",
-			before.ScalarVerifies, after.ScalarVerifies)
+	if got := cc.ScalarVerifies.Load(); got != scalar+1 {
+		t.Fatalf("expected a real verify after rotation, got %d -> %d scalar verifies", scalar, got)
 	}
 
 	// Batch path sees the rotation too: a BatchVerifier entry for the old
@@ -286,11 +283,10 @@ func TestBatchVerifyConcurrentCache(t *testing.T) {
 			}
 		})
 	}
-	s := cc.Snapshot()
-	if s.BatchedSigs != 128 {
-		t.Fatalf("expected 128 batched sigs (first round only), got %d", s.BatchedSigs)
+	if got := cc.BatchedSigs.Load(); got != 128 {
+		t.Fatalf("expected 128 batched sigs (first round only), got %d", got)
 	}
-	if s.CacheHits != 3*128 {
-		t.Fatalf("expected 384 cache hits (three retransmit rounds), got %d", s.CacheHits)
+	if got := cc.CacheHits.Load(); got != 3*128 {
+		t.Fatalf("expected 384 cache hits (three retransmit rounds), got %d", got)
 	}
 }

@@ -142,7 +142,7 @@ type Registry struct {
 
 	// Acceleration state, set by Accelerated. cache memoizes successful
 	// verifications (nil disables); batch enables the multi-scalar batch
-	// equation in BatchVerifier; cc receives instrumentation (nil discards).
+	// equation in BatchVerifier; cc receives instrumentation (never nil).
 	cache *VerifyCache
 	batch bool
 	cc    *metrics.CryptoCounters
@@ -156,7 +156,7 @@ func NewRegistry(pairs ...*KeyPair) *Registry {
 	for _, kp := range pairs {
 		keys[kp.ID] = &verifyKey{pub: kp.Public}
 	}
-	r := &Registry{mu: &sync.Mutex{}, keys: &atomic.Pointer[map[NodeID]*verifyKey]{}, batch: true}
+	r := &Registry{mu: &sync.Mutex{}, keys: &atomic.Pointer[map[NodeID]*verifyKey]{}, batch: true, cc: &metrics.CryptoCounters{}}
 	r.keys.Store(&keys)
 	return r
 }
@@ -165,8 +165,12 @@ func NewRegistry(pairs ...*KeyPair) *Registry {
 // batch-verification switch, and counters. The view shares r's key set —
 // Add through either is visible to both — but caches and counts
 // independently, so co-located nodes (tests, in-process benchmarks) can share
-// keys without sharing verification state. cache and cc may be nil.
+// keys without sharing verification state. cache may be nil; a nil cc gets
+// a fresh counter set, readable through Counters.
 func (r *Registry) Accelerated(cache *VerifyCache, batchVerify bool, cc *metrics.CryptoCounters) *Registry {
+	if cc == nil {
+		cc = &metrics.CryptoCounters{}
+	}
 	return &Registry{mu: r.mu, keys: r.keys, cache: cache, batch: batchVerify, cc: cc}
 }
 
@@ -250,7 +254,7 @@ func (r *Registry) Verify(id NodeID, msg, sig []byte) error {
 			return nil
 		}
 	}
-	r.cc.AddScalarVerify()
+	r.cc.ScalarVerifies.Add(1)
 	if !key.verify(msg, sig) {
 		return fmt.Errorf("%w: from %v", ErrInvalidSignature, id)
 	}
@@ -258,11 +262,8 @@ func (r *Registry) Verify(id NodeID, msg, sig []byte) error {
 	return nil
 }
 
-// Counters returns the registry's crypto instrumentation, if any.
+// Counters returns the registry's crypto instrumentation.
 func (r *Registry) Counters() *metrics.CryptoCounters { return r.cc }
-
-// Cache returns the registry's verified-signature cache, if any.
-func (r *Registry) Cache() *VerifyCache { return r.cache }
 
 // BatchEnabled reports whether NewBatchVerifier will use the multi-scalar
 // batch equation (true) or fall back to sequential scalar verifies (false).

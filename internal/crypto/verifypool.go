@@ -71,8 +71,8 @@ func (p *VerifyPool) worker() {
 		case <-p.quit:
 			return
 		case fn := <-p.tasks:
-			p.stats.Dequeued()
-			p.stats.AddOffloaded()
+			p.stats.QueueDepth.Add(-1)
+			p.stats.Offloaded.Add(1)
 			p.runTask(fn)
 		}
 	}
@@ -86,7 +86,7 @@ func (p *VerifyPool) worker() {
 func (p *VerifyPool) runTask(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.stats.AddPanic()
+			p.stats.Panics.Add(1)
 		}
 	}()
 	fn()
@@ -106,15 +106,15 @@ func (p *VerifyPool) Submit(fn func()) {
 	start := time.Now()
 	task := func() {
 		fn()
-		p.stats.RecordTask(time.Since(start))
+		p.stats.TaskMax.SetMax(int64(time.Since(start)))
 	}
-	p.stats.Enqueued()
+	p.stats.QueuePeak.SetMax(p.stats.QueueDepth.Add(1))
 	select {
 	case p.tasks <- task:
 	default:
 		// Queue saturated: run on the caller (backpressure).
-		p.stats.Dequeued()
-		p.stats.AddInline()
+		p.stats.QueueDepth.Add(-1)
+		p.stats.Inline.Add(1)
 		task()
 	}
 }
@@ -213,9 +213,9 @@ func (p *VerifyPool) VerifyAsync(reg *Registry, id NodeID, msg, sig []byte, done
 	p.Submit(func() { done(reg.Verify(id, msg, sig)) })
 }
 
-// Stats returns the pool's instrumentation snapshot: tasks by execution
-// path, queue depth/peak, and submit-to-completion latency.
-func (p *VerifyPool) Stats() metrics.PoolSnapshot { return p.stats.Snapshot() }
+// Stats returns the pool's instrumentation: tasks by execution path, queue
+// depth/peak, and the longest submit-to-completion latency.
+func (p *VerifyPool) Stats() *metrics.PoolCounters { return &p.stats }
 
 // Close stops the workers and waits for in-flight tasks to finish. Tasks
 // still queued are dropped — acceptable because verification results feed

@@ -18,42 +18,68 @@ import (
 	"time"
 )
 
-// Counters aggregates monotonically increasing event counts. All methods are
-// safe for concurrent use. The zero value is ready to use.
+// Counter is a monotonically increasing metric handle. It is safe for
+// concurrent use and the zero value is ready to use; a family struct
+// declares one per series, with the series' name and help in the field's
+// `metric` and `help` tags (see obsv.Registry.RegisterFamily).
+type Counter struct{ v atomic.Uint64 }
+
+// Add increases the counter by n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
+
+// Load returns the current count.
+func (c *Counter) Load() uint64 { return c.v.Load() }
+
+// Gauge is an instantaneous-value metric handle: a level (queue depth) or a
+// high-water mark (SetMax). Durations are stored in nanoseconds and tagged
+// `unit:"ns"` so the exporter reports them in seconds. It is safe for
+// concurrent use and the zero value is ready to use.
+type Gauge struct{ v atomic.Int64 }
+
+// Add moves the gauge by d and returns the new value.
+func (g *Gauge) Add(d int64) int64 { return g.v.Add(d) }
+
+// Set stores v.
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
+
+// SetMax raises the gauge to v if v exceeds the current value.
+func (g *Gauge) SetMax(v int64) {
+	for {
+		cur := g.v.Load()
+		if v <= cur || g.v.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// Load returns the current value.
+func (g *Gauge) Load() int64 { return g.v.Load() }
+
+// Counters aggregates the communication layer's message and request
+// accounting (Fig 6/7). All methods are safe for concurrent use. The zero
+// value is ready to use.
 type Counters struct {
-	msgsSent      atomic.Uint64
-	msgsReceived  atomic.Uint64
-	bytesSent     atomic.Uint64
-	bytesReceived atomic.Uint64
-	signatures    atomic.Uint64
-	verifications atomic.Uint64
-	requests      atomic.Uint64
-	duplicates    atomic.Uint64
+	MsgsSent      Counter `metric:"zugchain_core_msgs_sent_total" help:"Layer messages sent"`
+	MsgsReceived  Counter `metric:"zugchain_core_msgs_received_total" help:"Layer messages received"`
+	BytesSent     Counter `metric:"zugchain_core_bytes_sent_total" help:"Layer bytes sent"`
+	BytesReceived Counter `metric:"zugchain_core_bytes_received_total" help:"Layer bytes received"`
+	Signatures    Counter `metric:"zugchain_core_signatures_total" help:"Signatures generated"`
+	Verifications Counter `metric:"zugchain_core_verifications_total" help:"Signatures verified"`
+	Requests      Counter `metric:"zugchain_core_ordered_total" help:"Requests ordered and logged"`
+	Duplicates    Counter `metric:"zugchain_core_duplicates_total" help:"Duplicate requests filtered"`
 }
 
 // AddSent records an outbound message of n bytes.
 func (c *Counters) AddSent(n int) {
-	c.msgsSent.Add(1)
-	c.bytesSent.Add(uint64(n))
+	c.MsgsSent.Add(1)
+	c.BytesSent.Add(uint64(n))
 }
 
 // AddReceived records an inbound message of n bytes.
 func (c *Counters) AddReceived(n int) {
-	c.msgsReceived.Add(1)
-	c.bytesReceived.Add(uint64(n))
+	c.MsgsReceived.Add(1)
+	c.BytesReceived.Add(uint64(n))
 }
-
-// AddSignature records one signature generation.
-func (c *Counters) AddSignature() { c.signatures.Add(1) }
-
-// AddVerification records one signature verification.
-func (c *Counters) AddVerification() { c.verifications.Add(1) }
-
-// AddRequest records one ordered (decided) request.
-func (c *Counters) AddRequest() { c.requests.Add(1) }
-
-// AddDuplicate records one filtered duplicate request.
-func (c *Counters) AddDuplicate() { c.duplicates.Add(1) }
 
 // CounterSnapshot is a point-in-time copy of all counters.
 type CounterSnapshot struct {
@@ -70,14 +96,14 @@ type CounterSnapshot struct {
 // Snapshot returns the current counter values.
 func (c *Counters) Snapshot() CounterSnapshot {
 	return CounterSnapshot{
-		MsgsSent:      c.msgsSent.Load(),
-		MsgsReceived:  c.msgsReceived.Load(),
-		BytesSent:     c.bytesSent.Load(),
-		BytesReceived: c.bytesReceived.Load(),
-		Signatures:    c.signatures.Load(),
-		Verifications: c.verifications.Load(),
-		Requests:      c.requests.Load(),
-		Duplicates:    c.duplicates.Load(),
+		MsgsSent:      c.MsgsSent.Load(),
+		MsgsReceived:  c.MsgsReceived.Load(),
+		BytesSent:     c.BytesSent.Load(),
+		BytesReceived: c.BytesReceived.Load(),
+		Signatures:    c.Signatures.Load(),
+		Verifications: c.Verifications.Load(),
+		Requests:      c.Requests.Load(),
+		Duplicates:    c.Duplicates.Load(),
 	}
 }
 
@@ -115,507 +141,139 @@ func (s CounterSnapshot) CPUWorkUnits() float64 {
 // CryptoCounters instruments the Ed25519 acceleration layer: how many
 // signatures settled via the batched multi-scalar equation versus individual
 // scalar verifies, how often a failed batch had to bisect to find the corrupt
-// entries, and the verified-signature cache's hit/miss/eviction traffic. Like
-// PoolCounters it keeps O(1) state so it can sit on the verification hot
-// path. All methods are safe for concurrent use and nil-safe (a nil receiver
-// records nothing), so uninstrumented registries pay only a nil check; the
-// zero value is ready to use.
+// entries, and the verified-signature cache's hit/miss/eviction traffic. It
+// keeps O(1) state so it can sit on the verification hot path. The zero
+// value is ready to use.
 type CryptoCounters struct {
-	scalarVerifies atomic.Uint64
-	batchedSigs    atomic.Uint64
-	batchOps       atomic.Uint64
-	batchMax       atomic.Int64
-	bisections     atomic.Uint64
-	cacheHits      atomic.Uint64
-	cacheMisses    atomic.Uint64
-	cacheEvictions atomic.Uint64
-}
-
-// AddScalarVerify records one individual (non-batched) signature
-// verification — a single cofactored equation, or a bisection leaf.
-func (c *CryptoCounters) AddScalarVerify() {
-	if c == nil {
-		return
-	}
-	c.scalarVerifies.Add(1)
+	ScalarVerifies Counter `metric:"zugchain_crypto_scalar_verifies_total" help:"Individual signature verifications"`
+	BatchedSigs    Counter `metric:"zugchain_crypto_batched_sigs_total" help:"Signatures settled via batch equations"`
+	BatchOps       Counter `metric:"zugchain_crypto_batch_ops_total" help:"Batch equations evaluated"`
+	BatchMax       Gauge   `metric:"zugchain_crypto_batch_max" help:"Largest single batch equation"`
+	Bisections     Counter `metric:"zugchain_crypto_bisections_total" help:"Bisection splits hunting corrupt signatures"`
+	CacheHits      Counter `metric:"zugchain_crypto_cache_hits_total" help:"Verified-signature cache hits"`
+	CacheMisses    Counter `metric:"zugchain_crypto_cache_misses_total" help:"Verified-signature cache misses"`
+	CacheEvictions Counter `metric:"zugchain_crypto_cache_evictions_total" help:"Verified-signature cache evictions"`
 }
 
 // RecordBatch records one batched verification equation covering n
 // signatures.
 func (c *CryptoCounters) RecordBatch(n int) {
-	if c == nil {
-		return
-	}
-	c.batchOps.Add(1)
-	c.batchedSigs.Add(uint64(n))
-	v := int64(n)
-	for {
-		cur := c.batchMax.Load()
-		if v <= cur || c.batchMax.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// AddBisection records one bisection split while pinpointing corrupt
-// signatures in a failed batch.
-func (c *CryptoCounters) AddBisection() {
-	if c == nil {
-		return
-	}
-	c.bisections.Add(1)
-}
-
-// AddCacheHit records one verified-signature cache hit (a skipped verify).
-func (c *CryptoCounters) AddCacheHit() {
-	if c == nil {
-		return
-	}
-	c.cacheHits.Add(1)
-}
-
-// AddCacheMiss records one verified-signature cache miss.
-func (c *CryptoCounters) AddCacheMiss() {
-	if c == nil {
-		return
-	}
-	c.cacheMisses.Add(1)
-}
-
-// AddCacheEviction records one entry evicted by the cache's LRU bound.
-func (c *CryptoCounters) AddCacheEviction() {
-	if c == nil {
-		return
-	}
-	c.cacheEvictions.Add(1)
-}
-
-// CryptoSnapshot is a point-in-time copy of CryptoCounters.
-type CryptoSnapshot struct {
-	// ScalarVerifies counts individual single-signature verifications;
-	// BatchedSigs the signatures settled through batch equations instead.
-	ScalarVerifies uint64
-	BatchedSigs    uint64
-	// BatchOps counts batch equations evaluated; MeanBatch =
-	// BatchedSigs/BatchOps; BatchMax the largest single equation.
-	BatchOps  uint64
-	MeanBatch float64
-	BatchMax  int64
-	// Bisections counts fallback splits hunting corrupt entries.
-	Bisections uint64
-	// CacheHits/CacheMisses/CacheEvictions describe the verified-signature
-	// cache; HitRate = CacheHits / (CacheHits + CacheMisses).
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheEvictions uint64
-	HitRate        float64
-}
-
-// Snapshot returns the current crypto counter values. A nil receiver yields
-// the zero snapshot.
-func (c *CryptoCounters) Snapshot() CryptoSnapshot {
-	if c == nil {
-		return CryptoSnapshot{}
-	}
-	s := CryptoSnapshot{
-		ScalarVerifies: c.scalarVerifies.Load(),
-		BatchedSigs:    c.batchedSigs.Load(),
-		BatchOps:       c.batchOps.Load(),
-		BatchMax:       c.batchMax.Load(),
-		Bisections:     c.bisections.Load(),
-		CacheHits:      c.cacheHits.Load(),
-		CacheMisses:    c.cacheMisses.Load(),
-		CacheEvictions: c.cacheEvictions.Load(),
-	}
-	if s.BatchOps > 0 {
-		s.MeanBatch = float64(s.BatchedSigs) / float64(s.BatchOps)
-	}
-	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
-		s.HitRate = float64(s.CacheHits) / float64(lookups)
-	}
-	return s
+	c.BatchOps.Add(1)
+	c.BatchedSigs.Add(uint64(n))
+	c.BatchMax.SetMax(int64(n))
 }
 
 // PoolCounters instruments an asynchronous worker pool (the signature
 // verification pipeline): how many tasks ran on pool workers versus inline on
-// the submitting goroutine, the current and peak queue depth, and
-// submit-to-completion task latency. Unlike Latency it keeps O(1) state
-// (sum/count/max) so it can sit on the verification hot path without
-// accumulating samples. All methods are safe for concurrent use; the zero
-// value is ready to use.
+// the submitting goroutine, the current and peak queue depth, and the
+// longest submit-to-completion task latency. It keeps O(1) state so it can
+// sit on the verification hot path. The zero value is ready to use.
 type PoolCounters struct {
-	offloaded atomic.Uint64
-	inline    atomic.Uint64
-	panics    atomic.Uint64
-	depth     atomic.Int64
-	peak      atomic.Int64
-	latSumNs  atomic.Int64
-	latCount  atomic.Uint64
-	latMaxNs  atomic.Int64
-}
-
-// AddOffloaded records one task executed by a pool worker.
-func (p *PoolCounters) AddOffloaded() { p.offloaded.Add(1) }
-
-// AddInline records one task executed on the submitter (fast path or
-// backpressure).
-func (p *PoolCounters) AddInline() { p.inline.Add(1) }
-
-// AddPanic records one task panic contained by a pool worker. Nonzero means
-// a verification callback has a bug; the pool survives, the counter makes
-// the bug visible.
-func (p *PoolCounters) AddPanic() { p.panics.Add(1) }
-
-// Enqueued records a task entering the queue, tracking the peak depth.
-func (p *PoolCounters) Enqueued() {
-	d := p.depth.Add(1)
-	for {
-		cur := p.peak.Load()
-		if d <= cur || p.peak.CompareAndSwap(cur, d) {
-			return
-		}
-	}
-}
-
-// Dequeued records a task leaving the queue.
-func (p *PoolCounters) Dequeued() { p.depth.Add(-1) }
-
-// RecordTask records one task's submit-to-completion latency.
-func (p *PoolCounters) RecordTask(d time.Duration) {
-	ns := int64(d)
-	p.latSumNs.Add(ns)
-	p.latCount.Add(1)
-	for {
-		cur := p.latMaxNs.Load()
-		if ns <= cur || p.latMaxNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// PoolSnapshot is a point-in-time copy of PoolCounters.
-type PoolSnapshot struct {
-	// Offloaded and Inline count completed tasks by where they executed.
-	Offloaded uint64
-	Inline    uint64
-	// Panics counts task panics contained by pool workers.
-	Panics uint64
-	// QueueDepth is the instantaneous queue backlog; QueuePeak its maximum.
-	QueueDepth int64
-	QueuePeak  int64
-	// Tasks latency statistics over all recorded tasks.
-	TaskCount uint64
-	TaskMean  time.Duration
-	TaskMax   time.Duration
-}
-
-// Snapshot returns the current pool counter values.
-func (p *PoolCounters) Snapshot() PoolSnapshot {
-	s := PoolSnapshot{
-		Offloaded:  p.offloaded.Load(),
-		Inline:     p.inline.Load(),
-		Panics:     p.panics.Load(),
-		QueueDepth: p.depth.Load(),
-		QueuePeak:  p.peak.Load(),
-		TaskCount:  p.latCount.Load(),
-		TaskMax:    time.Duration(p.latMaxNs.Load()),
-	}
-	if s.TaskCount > 0 {
-		s.TaskMean = time.Duration(p.latSumNs.Load() / int64(s.TaskCount))
-	}
-	return s
+	Offloaded Counter `metric:"zugchain_pool_offloaded_total" help:"Tasks run on pool workers"`
+	Inline    Counter `metric:"zugchain_pool_inline_total" help:"Tasks run inline on the submitter"`
+	// Panics nonzero means a verification callback has a bug; the pool
+	// survives, the counter makes the bug visible.
+	Panics     Counter `metric:"zugchain_pool_panics_total" help:"Task panics contained by workers"`
+	QueueDepth Gauge   `metric:"zugchain_pool_queue_depth" help:"Instantaneous task queue depth"`
+	QueuePeak  Gauge   `metric:"zugchain_pool_queue_peak" help:"Peak task queue depth"`
+	TaskMax    Gauge   `metric:"zugchain_pool_task_max_seconds" help:"Longest task submit-to-completion latency" unit:"ns"`
 }
 
 // BatchCounters instruments the primary's request coalescing (the ordering
 // hot path's batching stage): how many flushes happened and why (the batch
 // filled up, or the max-batch-delay expired), how many records they carried,
-// and how long the oldest record of each flush waited. Like PoolCounters it
-// keeps O(1) state so it can sit on the hot path. All methods are safe for
-// concurrent use; the zero value is ready to use.
+// and the longest wait of a flush's oldest record. The zero value is ready
+// to use.
 type BatchCounters struct {
-	flushes      atomic.Uint64
-	records      atomic.Uint64
-	sizeFlushes  atomic.Uint64
-	delayFlushes atomic.Uint64
-	maxSize      atomic.Int64
-	waitSumNs    atomic.Int64
-	waitMaxNs    atomic.Int64
+	Flushes      Counter `metric:"zugchain_batch_flushes_total" help:"Proposal batches flushed"`
+	Records      Counter `metric:"zugchain_batch_records_total" help:"Records carried by flushed batches"`
+	SizeFlushes  Counter `metric:"zugchain_batch_size_flushes_total" help:"Flushes triggered by the size limit"`
+	DelayFlushes Counter `metric:"zugchain_batch_delay_flushes_total" help:"Flushes triggered by the delay timer"`
+	MaxSize      Gauge   `metric:"zugchain_batch_max_size" help:"Largest single flush"`
+	WaitMax      Gauge   `metric:"zugchain_batch_wait_max_seconds" help:"Longest batching wait" unit:"ns"`
 }
 
 // RecordFlush records one batch flush of size records whose oldest record
 // waited wait; byDelay reports whether the max-batch-delay timer (rather
 // than the size limit) triggered it.
 func (b *BatchCounters) RecordFlush(size int, wait time.Duration, byDelay bool) {
-	b.flushes.Add(1)
-	b.records.Add(uint64(size))
+	b.Flushes.Add(1)
+	b.Records.Add(uint64(size))
 	if byDelay {
-		b.delayFlushes.Add(1)
+		b.DelayFlushes.Add(1)
 	} else {
-		b.sizeFlushes.Add(1)
+		b.SizeFlushes.Add(1)
 	}
-	s := int64(size)
-	for {
-		cur := b.maxSize.Load()
-		if s <= cur || b.maxSize.CompareAndSwap(cur, s) {
-			break
-		}
-	}
-	ns := int64(wait)
-	b.waitSumNs.Add(ns)
-	for {
-		cur := b.waitMaxNs.Load()
-		if ns <= cur || b.waitMaxNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// BatchSnapshot is a point-in-time copy of BatchCounters.
-type BatchSnapshot struct {
-	// Flushes counts proposals sent; Records the records they carried.
-	Flushes uint64
-	Records uint64
-	// SizeFlushes and DelayFlushes split Flushes by trigger.
-	SizeFlushes  uint64
-	DelayFlushes uint64
-	// MaxSize is the largest single flush; MeanSize = Records/Flushes.
-	MaxSize  int64
-	MeanSize float64
-	// WaitMean and WaitMax describe how long the oldest record of a flush
-	// waited for companions (the batching latency cost).
-	WaitMean time.Duration
-	WaitMax  time.Duration
-}
-
-// Snapshot returns the current batch counter values.
-func (b *BatchCounters) Snapshot() BatchSnapshot {
-	s := BatchSnapshot{
-		Flushes:      b.flushes.Load(),
-		Records:      b.records.Load(),
-		SizeFlushes:  b.sizeFlushes.Load(),
-		DelayFlushes: b.delayFlushes.Load(),
-		MaxSize:      b.maxSize.Load(),
-		WaitMax:      time.Duration(b.waitMaxNs.Load()),
-	}
-	if s.Flushes > 0 {
-		s.MeanSize = float64(s.Records) / float64(s.Flushes)
-		s.WaitMean = time.Duration(b.waitSumNs.Load() / int64(s.Flushes))
-	}
-	return s
+	b.MaxSize.SetMax(int64(size))
+	b.WaitMax.SetMax(int64(wait))
 }
 
 // GroupCommitCounters instruments the blockchain store's group-commit
 // writer: how many durable write groups ran, how many blocks they covered
 // (one directory fsync per group makes every block in it durable at once),
-// and how many explicit Sync barriers were requested. Safe for concurrent
-// use; the zero value is ready to use.
+// and how many explicit Sync barriers were requested. The zero value is
+// ready to use.
 type GroupCommitCounters struct {
-	groups   atomic.Uint64
-	blocks   atomic.Uint64
-	syncs    atomic.Uint64
-	maxGroup atomic.Int64
+	Groups Counter `metric:"zugchain_store_groups_total" help:"Fsynced block write groups"`
+	Blocks Counter `metric:"zugchain_store_blocks_total" help:"Blocks covered by write groups"`
+	Syncs  Counter `metric:"zugchain_store_syncs_total" help:"Explicit Sync barriers"`
 }
 
 // RecordGroup records one committed write group of n blocks.
 func (g *GroupCommitCounters) RecordGroup(n int) {
-	g.groups.Add(1)
-	g.blocks.Add(uint64(n))
-	v := int64(n)
-	for {
-		cur := g.maxGroup.Load()
-		if v <= cur || g.maxGroup.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// AddSync records one explicit Sync barrier request.
-func (g *GroupCommitCounters) AddSync() { g.syncs.Add(1) }
-
-// GroupCommitSnapshot is a point-in-time copy of GroupCommitCounters.
-type GroupCommitSnapshot struct {
-	// Groups counts fsync'd write groups; Blocks the blocks they covered.
-	Groups uint64
-	Blocks uint64
-	// Syncs counts explicit Sync barrier calls.
-	Syncs uint64
-	// MaxGroup is the largest group; MeanGroup = Blocks/Groups.
-	MaxGroup  int64
-	MeanGroup float64
-}
-
-// Snapshot returns the current group-commit counter values.
-func (g *GroupCommitCounters) Snapshot() GroupCommitSnapshot {
-	s := GroupCommitSnapshot{
-		Groups:   g.groups.Load(),
-		Blocks:   g.blocks.Load(),
-		Syncs:    g.syncs.Load(),
-		MaxGroup: g.maxGroup.Load(),
-	}
-	if s.Groups > 0 {
-		s.MeanGroup = float64(s.Blocks) / float64(s.Groups)
-	}
-	return s
+	g.Groups.Add(1)
+	g.Blocks.Add(uint64(n))
 }
 
 // NetCounters instruments a transport's asynchronous outbound pipeline (the
 // per-peer send queues and their coalescing writers): queue depth and peak,
 // frames dropped on queue overflow or lost to broken connections, how many
-// frames each write syscall carried, and background redials. Like
-// PoolCounters it keeps O(1) state so it can sit on the transport hot path.
-// All methods are safe for concurrent use; the zero value is ready to use.
+// frames each write syscall carried (Frames/WriteOps is the amortization the
+// vectored writer achieves), and background redials. The zero value is
+// ready to use.
 type NetCounters struct {
-	enqueued    atomic.Uint64
-	drops       atomic.Uint64
-	writeErrors atomic.Uint64
-	writeOps    atomic.Uint64
-	frames      atomic.Uint64
-	redials     atomic.Uint64
-	depth       atomic.Int64
-	peak        atomic.Int64
+	Enqueued    Counter `metric:"zugchain_net_enqueued_total" help:"Frames accepted into send queues"`
+	Drops       Counter `metric:"zugchain_net_drops_total" help:"Frames dropped by queue overflow"`
+	WriteErrors Counter `metric:"zugchain_net_write_errors_total" help:"Frames lost to failed connection writes"`
+	WriteOps    Counter `metric:"zugchain_net_write_ops_total" help:"Write syscalls issued"`
+	Frames      Counter `metric:"zugchain_net_frames_total" help:"Frames carried by write syscalls"`
+	Redials     Counter `metric:"zugchain_net_redials_total" help:"Background reconnection attempts"`
+	QueueDepth  Gauge   `metric:"zugchain_net_queue_depth" help:"Instantaneous outbound backlog"`
+	QueuePeak   Gauge   `metric:"zugchain_net_queue_peak" help:"Peak outbound backlog"`
 }
 
-// Enqueued records one frame entering a send queue, tracking peak depth.
-func (n *NetCounters) Enqueued() {
-	n.enqueued.Add(1)
-	d := n.depth.Add(1)
-	for {
-		cur := n.peak.Load()
-		if d <= cur || n.peak.CompareAndSwap(cur, d) {
-			return
-		}
-	}
+// Enqueue records one frame entering a send queue, tracking peak depth.
+// Frames leave the queue through QueueDepth.Add(-k).
+func (n *NetCounters) Enqueue() {
+	n.Enqueued.Add(1)
+	n.QueuePeak.SetMax(n.QueueDepth.Add(1))
 }
-
-// Dequeued records k frames leaving a send queue.
-func (n *NetCounters) Dequeued(k int) { n.depth.Add(-int64(k)) }
-
-// AddDrop records one frame dropped by the queue-overflow policy.
-func (n *NetCounters) AddDrop() { n.drops.Add(1) }
-
-// AddWriteError records k frames lost to a failed connection write.
-func (n *NetCounters) AddWriteError(k int) { n.writeErrors.Add(uint64(k)) }
 
 // AddWrite records one write syscall that flushed k coalesced frames.
 func (n *NetCounters) AddWrite(k int) {
-	n.writeOps.Add(1)
-	n.frames.Add(uint64(k))
-}
-
-// AddRedial records one background reconnection attempt.
-func (n *NetCounters) AddRedial() { n.redials.Add(1) }
-
-// NetSnapshot is a point-in-time copy of NetCounters.
-type NetSnapshot struct {
-	// Enqueued counts frames accepted into send queues; Drops the frames
-	// evicted by the overflow policy; WriteErrors the frames lost when a
-	// connection write failed mid-flush.
-	Enqueued    uint64
-	Drops       uint64
-	WriteErrors uint64
-	// WriteOps counts write syscalls; Frames the frames they carried.
-	// CoalesceMean = Frames/WriteOps is the amortization the vectored
-	// writer achieves.
-	WriteOps     uint64
-	Frames       uint64
-	CoalesceMean float64
-	// Redials counts background reconnection attempts.
-	Redials uint64
-	// QueueDepth is the instantaneous total backlog; QueuePeak its maximum.
-	QueueDepth int64
-	QueuePeak  int64
-}
-
-// Snapshot returns the current net counter values.
-func (n *NetCounters) Snapshot() NetSnapshot {
-	s := NetSnapshot{
-		Enqueued:    n.enqueued.Load(),
-		Drops:       n.drops.Load(),
-		WriteErrors: n.writeErrors.Load(),
-		WriteOps:    n.writeOps.Load(),
-		Frames:      n.frames.Load(),
-		Redials:     n.redials.Load(),
-		QueueDepth:  n.depth.Load(),
-		QueuePeak:   n.peak.Load(),
-	}
-	if s.WriteOps > 0 {
-		s.CoalesceMean = float64(s.Frames) / float64(s.WriteOps)
-	}
-	return s
+	n.WriteOps.Add(1)
+	n.Frames.Add(uint64(k))
 }
 
 // WALCounters instruments the PBFT write-ahead log: how many fsync'd append
-// groups ran and how many records/bytes they carried (the group-commit
-// amortization of the durability cost), plus checkpoint rotations and what
-// recovery found on open. Safe for concurrent use; the zero value is ready
-// to use.
+// groups ran and how many records/bytes they carried (Records/Groups is the
+// group-commit amortization of the durability cost), plus checkpoint
+// rotations and what recovery found on open. The zero value is ready to use.
 type WALCounters struct {
-	groups         atomic.Uint64
-	records        atomic.Uint64
-	bytes          atomic.Uint64
-	rotations      atomic.Uint64
-	replayed       atomic.Uint64
-	truncatedBytes atomic.Uint64
-	maxGroup       atomic.Int64
+	Groups         Counter `metric:"zugchain_wal_groups_total" help:"Fsynced WAL append groups"`
+	Records        Counter `metric:"zugchain_wal_records_total" help:"Records carried by append groups"`
+	Bytes          Counter `metric:"zugchain_wal_bytes_total" help:"Payload bytes appended"`
+	Rotations      Counter `metric:"zugchain_wal_rotations_total" help:"Checkpoint-triggered segment rotations"`
+	Replayed       Counter `metric:"zugchain_wal_replayed_total" help:"Records replayed by recovery on open"`
+	TruncatedBytes Counter `metric:"zugchain_wal_truncated_bytes_total" help:"Corrupt tail bytes discarded by recovery"`
 }
 
 // RecordGroup records one fsync'd append group of n records totalling b
 // payload bytes.
 func (w *WALCounters) RecordGroup(n, b int) {
-	w.groups.Add(1)
-	w.records.Add(uint64(n))
-	w.bytes.Add(uint64(b))
-	v := int64(n)
-	for {
-		cur := w.maxGroup.Load()
-		if v <= cur || w.maxGroup.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// AddRotation records one checkpoint-triggered segment rotation.
-func (w *WALCounters) AddRotation() { w.rotations.Add(1) }
-
-// RecordReplay records what recovery found on open: n replayed records and
-// b corrupt tail bytes discarded.
-func (w *WALCounters) RecordReplay(n int, b int64) {
-	w.replayed.Add(uint64(n))
-	w.truncatedBytes.Add(uint64(b))
-}
-
-// WALSnapshot is a point-in-time copy of WALCounters.
-type WALSnapshot struct {
-	// Groups counts fsync'd append groups; Records and Bytes what they
-	// carried. MeanGroup = Records/Groups is the group-commit amortization.
-	Groups    uint64
-	Records   uint64
-	Bytes     uint64
-	MaxGroup  int64
-	MeanGroup float64
-	// Rotations counts checkpoint-triggered segment rotations.
-	Rotations uint64
-	// Replayed counts records restored on open; TruncatedBytes the corrupt
-	// tail bytes recovery discarded.
-	Replayed       uint64
-	TruncatedBytes uint64
-}
-
-// Snapshot returns the current WAL counter values.
-func (w *WALCounters) Snapshot() WALSnapshot {
-	s := WALSnapshot{
-		Groups:         w.groups.Load(),
-		Records:        w.records.Load(),
-		Bytes:          w.bytes.Load(),
-		MaxGroup:       w.maxGroup.Load(),
-		Rotations:      w.rotations.Load(),
-		Replayed:       w.replayed.Load(),
-		TruncatedBytes: w.truncatedBytes.Load(),
-	}
-	if s.Groups > 0 {
-		s.MeanGroup = float64(s.Records) / float64(s.Groups)
-	}
-	return s
+	w.Groups.Add(1)
+	w.Records.Add(uint64(n))
+	w.Bytes.Add(uint64(b))
 }
 
 // DefaultLatencyCap bounds how many samples a Latency retains. It is sized

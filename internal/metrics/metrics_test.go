@@ -11,11 +11,11 @@ func TestCountersSnapshot(t *testing.T) {
 	c.AddSent(100)
 	c.AddSent(50)
 	c.AddReceived(30)
-	c.AddSignature()
-	c.AddVerification()
-	c.AddVerification()
-	c.AddRequest()
-	c.AddDuplicate()
+	c.Signatures.Add(1)
+	c.Verifications.Add(1)
+	c.Verifications.Add(1)
+	c.Requests.Add(1)
+	c.Duplicates.Add(1)
 
 	s := c.Snapshot()
 	if s.MsgsSent != 2 || s.BytesSent != 150 {
@@ -37,7 +37,7 @@ func TestSnapshotSub(t *testing.T) {
 	c.AddSent(10)
 	before := c.Snapshot()
 	c.AddSent(25)
-	c.AddRequest()
+	c.Requests.Add(1)
 	diff := c.Snapshot().Sub(before)
 	if diff.MsgsSent != 1 || diff.BytesSent != 25 || diff.Requests != 1 {
 		t.Errorf("diff = %+v", diff)
@@ -163,33 +163,27 @@ func TestSampleMemory(t *testing.T) {
 
 func TestPoolCountersSnapshot(t *testing.T) {
 	var p PoolCounters
-	p.Enqueued()
-	p.Enqueued()
-	p.Enqueued()
-	p.Dequeued()
-	p.AddOffloaded()
-	p.AddInline()
-	p.RecordTask(10 * time.Millisecond)
-	p.RecordTask(30 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		p.QueuePeak.SetMax(p.QueueDepth.Add(1))
+	}
+	p.QueueDepth.Add(-1)
+	p.Offloaded.Add(1)
+	p.Inline.Add(1)
+	p.TaskMax.SetMax(int64(10 * time.Millisecond))
+	p.TaskMax.SetMax(int64(30 * time.Millisecond))
+	p.TaskMax.SetMax(int64(20 * time.Millisecond))
 
-	s := p.Snapshot()
-	if s.Offloaded != 1 || s.Inline != 1 {
-		t.Errorf("offloaded = %d, inline = %d, want 1/1", s.Offloaded, s.Inline)
+	if p.Offloaded.Load() != 1 || p.Inline.Load() != 1 {
+		t.Errorf("offloaded = %d, inline = %d, want 1/1", p.Offloaded.Load(), p.Inline.Load())
 	}
-	if s.QueueDepth != 2 {
-		t.Errorf("queue depth = %d, want 2", s.QueueDepth)
+	if got := p.QueueDepth.Load(); got != 2 {
+		t.Errorf("queue depth = %d, want 2", got)
 	}
-	if s.QueuePeak != 3 {
-		t.Errorf("queue peak = %d, want 3", s.QueuePeak)
+	if got := p.QueuePeak.Load(); got != 3 {
+		t.Errorf("queue peak = %d, want 3", got)
 	}
-	if s.TaskCount != 2 {
-		t.Errorf("task count = %d, want 2", s.TaskCount)
-	}
-	if s.TaskMean != 20*time.Millisecond {
-		t.Errorf("task mean = %v, want 20ms", s.TaskMean)
-	}
-	if s.TaskMax != 30*time.Millisecond {
-		t.Errorf("task max = %v, want 30ms", s.TaskMax)
+	if got := time.Duration(p.TaskMax.Load()); got != 30*time.Millisecond {
+		t.Errorf("task max = %v, want 30ms", got)
 	}
 }
 
@@ -201,67 +195,92 @@ func TestPoolCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				p.Enqueued()
-				p.Dequeued()
-				p.AddOffloaded()
-				p.RecordTask(time.Microsecond)
+				p.QueuePeak.SetMax(p.QueueDepth.Add(1))
+				p.QueueDepth.Add(-1)
+				p.Offloaded.Add(1)
+				p.TaskMax.SetMax(int64(time.Microsecond))
 			}
 		}()
 	}
 	wg.Wait()
-	s := p.Snapshot()
-	if s.Offloaded != 8000 || s.TaskCount != 8000 {
-		t.Errorf("offloaded = %d, tasks = %d, want 8000/8000", s.Offloaded, s.TaskCount)
+	if got := p.Offloaded.Load(); got != 8000 {
+		t.Errorf("offloaded = %d, want 8000", got)
 	}
-	if s.QueueDepth != 0 {
-		t.Errorf("final queue depth = %d, want 0", s.QueueDepth)
+	if got := p.QueueDepth.Load(); got != 0 {
+		t.Errorf("final queue depth = %d, want 0", got)
 	}
-	if s.QueuePeak < 1 {
-		t.Errorf("queue peak = %d, want >= 1", s.QueuePeak)
+	if got := p.QueuePeak.Load(); got < 1 {
+		t.Errorf("queue peak = %d, want >= 1", got)
+	}
+}
+
+// TestGaugeSetMaxConcurrent: racing SetMax calls must leave exactly the
+// largest value offered, never a smaller one that lost a CAS race.
+func TestGaugeSetMaxConcurrent(t *testing.T) {
+	var g Gauge
+	const workers, each = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				// Interleaved values: every worker offers both small and
+				// large values, and the global maximum comes from the last worker.
+				g.SetMax(int64(i*workers + w))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := g.Load(), int64((each-1)*workers+workers-1); got != want {
+		t.Errorf("max = %d, want %d", got, want)
+	}
+	g.SetMax(-1)
+	if got := g.Load(); got != int64((each-1)*workers+workers-1) {
+		t.Errorf("smaller SetMax lowered the gauge to %d", got)
+	}
+	g.Set(5)
+	if got := g.Load(); got != 5 {
+		t.Errorf("Set(5) left %d", got)
 	}
 }
 
 func TestBatchCountersSnapshot(t *testing.T) {
 	var b BatchCounters
-	if snap := b.Snapshot(); snap.Flushes != 0 || snap.MeanSize != 0 || snap.WaitMean != 0 {
-		t.Errorf("zero-value snapshot = %+v", snap)
+	if b.Flushes.Load() != 0 || b.MaxSize.Load() != 0 || b.WaitMax.Load() != 0 {
+		t.Error("zero value is not zero")
 	}
 	b.RecordFlush(4, 2*time.Millisecond, false)
 	b.RecordFlush(8, 6*time.Millisecond, true)
 	b.RecordFlush(3, time.Millisecond, true)
 
-	snap := b.Snapshot()
-	if snap.Flushes != 3 || snap.Records != 15 {
-		t.Errorf("flushes/records = %d/%d", snap.Flushes, snap.Records)
+	if b.Flushes.Load() != 3 || b.Records.Load() != 15 {
+		t.Errorf("flushes/records = %d/%d", b.Flushes.Load(), b.Records.Load())
 	}
-	if snap.SizeFlushes != 1 || snap.DelayFlushes != 2 {
-		t.Errorf("triggers = %d size, %d delay", snap.SizeFlushes, snap.DelayFlushes)
+	if b.SizeFlushes.Load() != 1 || b.DelayFlushes.Load() != 2 {
+		t.Errorf("triggers = %d size, %d delay", b.SizeFlushes.Load(), b.DelayFlushes.Load())
 	}
-	if snap.MaxSize != 8 || snap.MeanSize != 5 {
-		t.Errorf("sizes = max %d, mean %v", snap.MaxSize, snap.MeanSize)
+	if got := b.MaxSize.Load(); got != 8 {
+		t.Errorf("max size = %d, want 8", got)
 	}
-	if snap.WaitMax != 6*time.Millisecond || snap.WaitMean != 3*time.Millisecond {
-		t.Errorf("waits = max %v, mean %v", snap.WaitMax, snap.WaitMean)
+	if got := time.Duration(b.WaitMax.Load()); got != 6*time.Millisecond {
+		t.Errorf("max wait = %v, want 6ms", got)
 	}
 }
 
 func TestGroupCommitCountersSnapshot(t *testing.T) {
 	var g GroupCommitCounters
-	if snap := g.Snapshot(); snap.Groups != 0 || snap.MeanGroup != 0 {
-		t.Errorf("zero-value snapshot = %+v", snap)
+	if g.Groups.Load() != 0 || g.Blocks.Load() != 0 || g.Syncs.Load() != 0 {
+		t.Error("zero value is not zero")
 	}
 	g.RecordGroup(1)
 	g.RecordGroup(7)
 	g.RecordGroup(4)
-	g.AddSync()
-	g.AddSync()
+	g.Syncs.Add(1)
+	g.Syncs.Add(1)
 
-	snap := g.Snapshot()
-	if snap.Groups != 3 || snap.Blocks != 12 || snap.Syncs != 2 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-	if snap.MaxGroup != 7 || snap.MeanGroup != 4 {
-		t.Errorf("group sizes = max %d, mean %v", snap.MaxGroup, snap.MeanGroup)
+	if g.Groups.Load() != 3 || g.Blocks.Load() != 12 || g.Syncs.Load() != 2 {
+		t.Errorf("groups=%d blocks=%d syncs=%d, want 3/12/2", g.Groups.Load(), g.Blocks.Load(), g.Syncs.Load())
 	}
 }
 
@@ -280,43 +299,47 @@ func TestBatchCountersConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	bs, gs := b.Snapshot(), g.Snapshot()
-	if bs.Flushes != 8000 || bs.MaxSize != 8 {
-		t.Errorf("batch snapshot = %+v", bs)
+	if b.Flushes.Load() != 8000 || b.MaxSize.Load() != 8 {
+		t.Errorf("batch flushes=%d max=%d, want 8000/8", b.Flushes.Load(), b.MaxSize.Load())
 	}
-	if gs.Groups != 8000 || gs.MaxGroup != 8 {
-		t.Errorf("group snapshot = %+v", gs)
+	if g.Groups.Load() != 8000 || g.Blocks.Load() != 36000 {
+		t.Errorf("groups=%d blocks=%d, want 8000/36000", g.Groups.Load(), g.Blocks.Load())
 	}
 }
 
 func TestNetCountersSnapshot(t *testing.T) {
 	var n NetCounters
 	for i := 0; i < 5; i++ {
-		n.Enqueued()
+		n.Enqueue()
 	}
-	n.Dequeued(3)
-	n.AddDrop()
-	n.Dequeued(1) // the dropped frame leaves the queue too
+	n.QueueDepth.Add(-3)
+	n.Drops.Add(1)
+	n.QueueDepth.Add(-1) // the dropped frame leaves the queue too
 	n.AddWrite(3)
-	n.AddWriteError(2)
-	n.AddRedial()
+	n.WriteErrors.Add(2)
+	n.Redials.Add(1)
 
-	s := n.Snapshot()
-	if s.Enqueued != 5 || s.Drops != 1 || s.WriteErrors != 2 || s.Redials != 1 {
-		t.Errorf("snapshot = %+v", s)
+	if n.Enqueued.Load() != 5 || n.Drops.Load() != 1 || n.WriteErrors.Load() != 2 || n.Redials.Load() != 1 {
+		t.Errorf("enqueued=%d drops=%d write-errors=%d redials=%d",
+			n.Enqueued.Load(), n.Drops.Load(), n.WriteErrors.Load(), n.Redials.Load())
 	}
-	if s.WriteOps != 1 || s.Frames != 3 || s.CoalesceMean != 3 {
-		t.Errorf("coalescing: ops=%d frames=%d mean=%v", s.WriteOps, s.Frames, s.CoalesceMean)
+	if n.WriteOps.Load() != 1 || n.Frames.Load() != 3 {
+		t.Errorf("coalescing: ops=%d frames=%d", n.WriteOps.Load(), n.Frames.Load())
 	}
-	if s.QueueDepth != 1 || s.QueuePeak != 5 {
-		t.Errorf("depth = %d, peak = %d, want 1/5", s.QueueDepth, s.QueuePeak)
+	if n.QueueDepth.Load() != 1 || n.QueuePeak.Load() != 5 {
+		t.Errorf("depth = %d, peak = %d, want 1/5", n.QueueDepth.Load(), n.QueuePeak.Load())
 	}
 }
 
 func TestNetCountersZero(t *testing.T) {
 	var n NetCounters
-	if s := n.Snapshot(); s != (NetSnapshot{}) {
-		t.Errorf("zero snapshot = %+v", s)
+	for _, c := range []*Counter{&n.Enqueued, &n.Drops, &n.WriteErrors, &n.WriteOps, &n.Frames, &n.Redials} {
+		if c.Load() != 0 {
+			t.Errorf("zero-value counter = %d", c.Load())
+		}
+	}
+	if n.QueueDepth.Load() != 0 || n.QueuePeak.Load() != 0 {
+		t.Errorf("zero-value depth/peak = %d/%d", n.QueueDepth.Load(), n.QueuePeak.Load())
 	}
 }
 
@@ -328,21 +351,20 @@ func TestNetCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				n.Enqueued()
-				n.Dequeued(1)
+				n.Enqueue()
+				n.QueueDepth.Add(-1)
 				n.AddWrite(2)
 			}
 		}()
 	}
 	wg.Wait()
-	s := n.Snapshot()
-	if s.Enqueued != 8000 || s.QueueDepth != 0 {
-		t.Errorf("enqueued = %d, depth = %d", s.Enqueued, s.QueueDepth)
+	if n.Enqueued.Load() != 8000 || n.QueueDepth.Load() != 0 {
+		t.Errorf("enqueued = %d, depth = %d", n.Enqueued.Load(), n.QueueDepth.Load())
 	}
-	if s.WriteOps != 8000 || s.Frames != 16000 || s.CoalesceMean != 2 {
-		t.Errorf("ops=%d frames=%d mean=%v", s.WriteOps, s.Frames, s.CoalesceMean)
+	if n.WriteOps.Load() != 8000 || n.Frames.Load() != 16000 {
+		t.Errorf("ops=%d frames=%d", n.WriteOps.Load(), n.Frames.Load())
 	}
-	if s.QueuePeak < 1 || s.QueuePeak > 8 {
-		t.Errorf("peak = %d out of [1,8]", s.QueuePeak)
+	if peak := n.QueuePeak.Load(); peak < 1 || peak > 8 {
+		t.Errorf("peak = %d out of [1,8]", peak)
 	}
 }

@@ -29,7 +29,7 @@ func TestClusterBatchingIdenticalChains(t *testing.T) {
 	// The batching stage actually engaged on whichever node was primary.
 	flushes := uint64(0)
 	for _, n := range c.nodes {
-		flushes += n.Layer().Batches().Snapshot().Flushes
+		flushes += n.Layer().Batches().Flushes.Load()
 	}
 	if flushes == 0 {
 		t.Error("no batch flushes recorded on any node")

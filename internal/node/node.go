@@ -147,7 +147,6 @@ type Node struct {
 	kp  *crypto.KeyPair
 	reg *crypto.Registry
 	clk clock.Clock
-	cc  *metrics.CryptoCounters
 
 	mux    *transport.Mux
 	pool   *crypto.VerifyPool
@@ -207,7 +206,6 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 		kp:      kp,
 		reg:     reg,
 		clk:     clk,
-		cc:      cc,
 		store:   store,
 		filters: make(map[int]*signal.Filter),
 		quit:    make(chan struct{}),
@@ -293,17 +291,17 @@ func New(cfg Config, kp *crypto.KeyPair, reg *crypto.Registry, tr transport.Tran
 	// Every counter family the node owns self-registers into the observer's
 	// registry: one /metrics scrape sees the whole pipeline.
 	r := n.obs.Registry
-	obsv.RegisterCore(r, n.layer.Counters())
-	obsv.RegisterBatch(r, n.layer.Batches())
-	obsv.RegisterPool(r, n.pool.Stats)
-	obsv.RegisterCrypto(r, cc)
+	r.RegisterFamily("core", n.layer.Counters())
+	r.RegisterFamily("batch", n.layer.Batches())
+	r.RegisterFamily("pool", n.pool.Stats())
+	r.RegisterFamily("crypto", cc)
 	if n.wlog != nil {
-		obsv.RegisterWAL(r, n.wlog.Counters())
+		r.RegisterFamily("wal", n.wlog.Counters())
 	}
-	obsv.RegisterGroupCommit(r, store.GroupCommits())
+	r.RegisterFamily("store", store.GroupCommits())
 	if ns, ok := tr.(transport.NetStats); ok {
 		if nc := ns.NetCounters(); nc != nil {
-			obsv.RegisterNet(r, nc)
+			r.RegisterFamily("net", nc)
 		}
 	}
 	r.Register("chain", func() []obsv.Metric {
@@ -357,10 +355,6 @@ func (n *Node) Runner() *pbft.Runner { return n.runner }
 // VerifyPool exposes the node's signature-verification pipeline (stats,
 // inspection).
 func (n *Node) VerifyPool() *crypto.VerifyPool { return n.pool }
-
-// CryptoStats returns the node's crypto acceleration counters: batch
-// verification shape and verified-signature cache traffic.
-func (n *Node) CryptoStats() metrics.CryptoSnapshot { return n.cc.Snapshot() }
 
 // ExportServer exposes the export server.
 func (n *Node) ExportServer() *export.Server { return n.srv }

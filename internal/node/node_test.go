@@ -122,6 +122,36 @@ func (c *cluster) tickUntilBlocks(height uint64, deadline time.Duration) {
 	}
 }
 
+// tickUntilExportable drives bus cycles until every node's export server
+// holds a stable checkpoint covering the given block index.
+func (c *cluster) tickUntilExportable(index uint64, deadline time.Duration) {
+	c.t.Helper()
+	if raceEnabled {
+		deadline *= 3
+	}
+	end := time.Now().Add(deadline)
+	for {
+		done := true
+		for _, n := range c.nodes {
+			if n.ExportServer().LatestExportable() < index {
+				done = false
+				break
+			}
+		}
+		if done {
+			return
+		}
+		if time.Now().After(end) {
+			for i, n := range c.nodes {
+				c.t.Logf("node %d: head=%d exportable=%d", i, n.Store().HeadIndex(), n.ExportServer().LatestExportable())
+			}
+			c.t.Fatalf("block %d never became exportable in %v", index, deadline)
+		}
+		c.bus.Tick()
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // minHeight returns the lowest chain height across nodes.
 func minHeight(nodes []*Node) uint64 {
 	low := nodes[0].Store().HeadIndex()
@@ -248,6 +278,9 @@ func TestClusterExportAndPrune(t *testing.T) {
 	}, dcKP, c.reg, archive, dcMux.Channel(0x40, 0x4f))
 
 	c.tickUntilBlocks(3, 30*time.Second)
+	// A block is exportable only once its checkpoint is stable; reaching
+	// head 3 does not yet mean block 3's checkpoint certificate is in.
+	c.tickUntilExportable(3, 30*time.Second)
 
 	group := &export.Group{DCs: []*export.DataCenter{dc}}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

@@ -45,7 +45,7 @@ func NewObserver(opts Options) *Observer {
 		o.Tracer.RegisterOn(o.Registry)
 	}
 	o.Journal.RegisterOn(o.Registry)
-	RegisterRuntime(o.Registry)
+	registerRuntime(o.Registry)
 	return o
 }
 

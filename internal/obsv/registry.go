@@ -10,9 +10,14 @@ package obsv
 import (
 	"fmt"
 	"io"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"time"
+
+	"zugchain/internal/metrics"
 )
 
 // MetricKind distinguishes how an exported series behaves.
@@ -73,6 +78,106 @@ func (r *Registry) Register(name string, src Source) {
 		r.order = append(r.order, name)
 	}
 	r.srcs[name] = src
+}
+
+// RegisterFamily adds (or replaces) the named source for a counter family:
+// family points to a struct whose exported metrics.Counter and
+// metrics.Gauge fields carry their series in tags, e.g.
+//
+//	Drops metrics.Counter `metric:"zugchain_net_drops_total" help:"Frames dropped"`
+//
+// A gauge tagged `unit:"ns"` holds nanoseconds and is exported in seconds.
+// Untagged fields are skipped. The tags are read once per family type;
+// scrapes only load the handles. A malformed family is a wiring bug and
+// panics.
+func (r *Registry) RegisterFamily(name string, family any) {
+	v := reflect.ValueOf(family)
+	if v.Kind() != reflect.Pointer || v.IsNil() || v.Elem().Kind() != reflect.Struct {
+		panic(fmt.Sprintf("obsv: family %q is %T, want a non-nil struct pointer", name, family))
+	}
+	v = v.Elem()
+	plan := familyPlan(v.Type())
+	handles := make([]any, len(plan)) // *metrics.Counter or *metrics.Gauge
+	for i, f := range plan {
+		handles[i] = v.Field(f.index).Addr().Interface()
+	}
+	r.Register(name, func() []Metric {
+		out := make([]Metric, len(plan))
+		for i, f := range plan {
+			out[i] = f.m
+			switch h := handles[i].(type) {
+			case *metrics.Counter:
+				out[i].Value = float64(h.Load())
+			case *metrics.Gauge:
+				if f.ns {
+					out[i].Value = time.Duration(h.Load()).Seconds()
+				} else {
+					out[i].Value = float64(h.Load())
+				}
+			}
+		}
+		return out
+	})
+}
+
+// familyField is one exported series of a family type: the handle's field
+// index, the series' name, help and kind, and whether it holds nanoseconds.
+type familyField struct {
+	index int
+	m     Metric
+	ns    bool
+}
+
+// familyPlans caches each family type's fields: every node registers the
+// same families, and walking the tags costs more than building the node's
+// other sources together.
+var familyPlans sync.Map // reflect.Type -> []familyField
+
+var (
+	counterType = reflect.TypeOf(metrics.Counter{})
+	gaugeType   = reflect.TypeOf(metrics.Gauge{})
+)
+
+func familyPlan(t reflect.Type) []familyField {
+	if p, ok := familyPlans.Load(t); ok {
+		return p.([]familyField)
+	}
+	var plan []familyField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		series, ok := f.Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		ff := familyField{index: i, m: Metric{Name: series, Help: f.Tag.Get("help")}}
+		switch {
+		case !f.IsExported():
+			panic(fmt.Sprintf("obsv: %s.%s is tagged but unexported", t, f.Name))
+		case f.Type == gaugeType:
+			ff.m.Kind = KindGauge
+			ff.ns = f.Tag.Get("unit") == "ns"
+		case f.Type != counterType:
+			panic(fmt.Sprintf("obsv: %s.%s is %s, want metrics.Counter or metrics.Gauge", t, f.Name, f.Type))
+		}
+		plan = append(plan, ff)
+	}
+	familyPlans.Store(t, plan)
+	return plan
+}
+
+// registerRuntime registers Go runtime gauges (the paper's memory proxy,
+// Fig 7) plus goroutine count.
+func registerRuntime(r *Registry) {
+	r.Register("runtime", func() []Metric {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return []Metric{
+			{Name: "zugchain_go_heap_alloc_bytes", Help: "Live heap bytes", Kind: KindGauge, Value: float64(ms.HeapAlloc)},
+			{Name: "zugchain_go_total_alloc_bytes", Help: "Cumulative heap bytes allocated", Value: float64(ms.TotalAlloc)},
+			{Name: "zugchain_go_gc_total", Help: "Completed GC cycles", Value: float64(ms.NumGC)},
+			{Name: "zugchain_go_goroutines", Help: "Live goroutines", Kind: KindGauge, Value: float64(runtime.NumGoroutine())},
+		}
+	})
 }
 
 // RegisterHistogram adds (or replaces) a named histogram. name is the

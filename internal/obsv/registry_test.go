@@ -6,7 +6,86 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"zugchain/internal/metrics"
 )
+
+// TestRegisterFamily: every tagged handle of a family is exported once, in
+// field order, with its tag's name and help, counters as counters, gauges
+// as gauges, `unit:"ns"` gauges in seconds; untagged fields are skipped,
+// and scrapes read the live handles.
+func TestRegisterFamily(t *testing.T) {
+	var fam struct {
+		Hits    metrics.Counter `metric:"zugchain_fam_hits_total" help:"Hits seen"`
+		Depth   metrics.Gauge   `metric:"zugchain_fam_depth" help:"Current depth"`
+		scratch metrics.Counter // untagged: not exported
+		WaitMax metrics.Gauge   `metric:"zugchain_fam_wait_max_seconds" help:"Longest wait" unit:"ns"`
+	}
+	r := NewRegistry()
+	r.RegisterFamily("fam", &fam)
+	fam.Hits.Add(3)
+	fam.Depth.Set(-2)
+	fam.scratch.Add(1)
+	fam.WaitMax.SetMax(int64(1500 * time.Millisecond))
+
+	want := []Metric{
+		{Name: "zugchain_fam_hits_total", Help: "Hits seen", Kind: KindCounter, Value: 3},
+		{Name: "zugchain_fam_depth", Help: "Current depth", Kind: KindGauge, Value: -2},
+		{Name: "zugchain_fam_wait_max_seconds", Help: "Longest wait", Kind: KindGauge, Value: 1.5},
+	}
+	got := r.Gather()
+	if len(got) != len(want) {
+		t.Fatalf("gather = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("series %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	fam.Hits.Add(1)
+	if v := r.Values()["zugchain_fam_hits_total"]; v != 4 {
+		t.Errorf("second scrape = %v, want the live value 4", v)
+	}
+	if src := r.Sources(); len(src) != 1 || src[0] != "fam" {
+		t.Errorf("sources = %v, want [fam]", src)
+	}
+
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	for _, line := range []string{
+		"# HELP zugchain_fam_hits_total Hits seen\n# TYPE zugchain_fam_hits_total counter\n",
+		"# TYPE zugchain_fam_depth gauge\n",
+	} {
+		if !strings.Contains(b.String(), line) {
+			t.Errorf("exposition lacks %q:\n%s", line, b.String())
+		}
+	}
+}
+
+func TestRegisterFamilyRejectsMalformed(t *testing.T) {
+	var bad struct {
+		N uint64 `metric:"zugchain_bad_total" help:"not a handle"`
+	}
+	var hidden struct {
+		n metrics.Counter `metric:"zugchain_hidden_total" help:"unexported"`
+	}
+	var nilFam *metrics.NetCounters
+	for name, fam := range map[string]any{
+		"non-handle field": &bad,
+		"unexported field": &hidden,
+		"struct value":     metrics.NetCounters{},
+		"nil pointer":      nilFam,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: RegisterFamily did not panic", name)
+				}
+			}()
+			NewRegistry().RegisterFamily("bad", fam)
+		}()
+	}
+}
 
 func TestRegistryRegisterAndGather(t *testing.T) {
 	r := NewRegistry()

@@ -110,7 +110,8 @@ type Engine struct {
 	helped      map[crypto.NodeID]uint64
 
 	// future holds phase messages for views this replica has not installed
-	// yet (see deferPhase); futureBySender bounds each sender's share.
+	// yet, or for slots just above its high watermark (see deferPhase);
+	// futureBySender bounds each sender's share.
 	future         []futureMsg
 	futureBySender map[crypto.NodeID]int
 }
@@ -268,8 +269,8 @@ func (e *Engine) receive(from crypto.NodeID, msg wire.Message, preVerified bool)
 			return nil
 		}
 	}
-	if view, seq, ok := phaseSlot(msg); ok && view > e.view {
-		e.deferPhase(from, msg, seq, preVerified)
+	if view, seq, ok := phaseSlot(msg); ok && e.early(view, seq) {
+		e.deferPhase(from, msg, view, seq, preVerified)
 		return nil
 	}
 	switch m := msg.(type) {
@@ -545,7 +546,9 @@ func (e *Engine) addCheckpoint(c *Checkpoint) []Action {
 			proof.Checkpoints = append(proof.Checkpoints, *other)
 		}
 	}
-	return e.installStable(proof)
+	// The window moved up: phase messages kept above the old high
+	// watermark may now be in it.
+	return append(e.installStable(proof), e.replayFuture()...)
 }
 
 // installStable advances the low watermark to a newly stable checkpoint,

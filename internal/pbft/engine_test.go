@@ -385,6 +385,52 @@ func TestOutOfWatermarkPrePrepareRejected(t *testing.T) {
 	}
 }
 
+// TestPhaseMessagesAboveHighWatermarkAreKept: a primary whose checkpoint
+// became stable first proposes past the high watermark of backups still
+// waiting for that checkpoint's quorum. Nothing retransmits the early
+// preprepares and prepares, so those backups must keep them and act on them
+// once their own checkpoint is stable, or every later slot stalls.
+func TestPhaseMessagesAboveHighWatermarkAreKept(t *testing.T) {
+	c := newCluster(t, 4, nil)
+	var held []packet
+	c.filter = func(p packet) bool {
+		if p.to != 2 && p.to != 3 {
+			return true
+		}
+		msg, err := unmarshalPacket(p)
+		if err != nil {
+			return true
+		}
+		if _, ok := msg.(*Checkpoint); ok {
+			held = append(held, p) // r2 and r3 stay at low watermark 0
+			return false
+		}
+		return true
+	}
+	window := c.engines[0].cfg.WatermarkWindow
+	n := int(window + DefaultCheckpointInterval)
+	var want []string
+	for i := 0; i < n; i++ {
+		p := fmt.Sprintf("r%02d", i)
+		want = append(want, p)
+		c.propose(0, p)
+	}
+	c.run()
+	if c.engines[0].lowWater == 0 || c.engines[2].lowWater != 0 || c.engines[3].lowWater != 0 {
+		t.Fatalf("setup: low watermarks r0=%d r2=%d r3=%d", c.engines[0].lowWater,
+			c.engines[2].lowWater, c.engines[3].lowWater)
+	}
+	if got := uint64(len(c.delivered[0])); got != window {
+		t.Fatalf("setup: r0 delivered %d requests, want %d", got, window)
+	}
+
+	c.filter = nil
+	c.queue = append(c.queue, held...)
+	c.run()
+	c.assertAllDelivered(want...)
+	c.assertAgreement()
+}
+
 func TestLaggingReplicaStateTransfer(t *testing.T) {
 	c := newCluster(t, 4, nil)
 	// r3 misses all ordering traffic for a full checkpoint interval.

@@ -209,7 +209,7 @@ func TestRunnerClusterWithVerifyPool(t *testing.T) {
 	if len(seen) != n {
 		t.Fatalf("delivered %d distinct requests, want %d", len(seen), n)
 	}
-	if st := pool.Stats(); st.Offloaded+st.Inline == 0 {
+	if st := pool.Stats(); st.Offloaded.Load()+st.Inline.Load() == 0 {
 		t.Error("verify pool was never used")
 	}
 }
@@ -328,7 +328,7 @@ func benchmarkRunnerIngest(b *testing.B, workers int) {
 	base := uint64(0)
 	if pool != nil {
 		st := pool.Stats()
-		base = st.Offloaded + st.Inline
+		base = st.Offloaded.Load() + st.Inline.Load()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -340,7 +340,7 @@ func benchmarkRunnerIngest(b *testing.B, workers int) {
 		// Wait for the pipeline to drain so ns/op covers the full work.
 		for {
 			st := pool.Stats()
-			if st.Offloaded+st.Inline-base >= uint64(b.N) {
+			if st.Offloaded.Load()+st.Inline.Load()-base >= uint64(b.N) {
 				break
 			}
 			time.Sleep(50 * time.Microsecond)

@@ -163,8 +163,9 @@ func (r *Runner) Inspect(f func(e *Engine)) {
 // here also means Byzantine flooding burns pool workers, not the ordering
 // path. Pool tasks may complete in any order. The engine absorbs that
 // without resequencing: phase messages arriving before their preprepare
-// wait in the instance log, and those for a view not yet installed wait in
-// the engine's future-view buffer (see DESIGN.md).
+// wait in the instance log, and those for a view not yet installed, or just
+// above the high watermark, wait in the engine's future-view buffer (see
+// DESIGN.md).
 func (r *Runner) onMessage(from crypto.NodeID, data []byte) {
 	msg, err := wire.Unmarshal(data)
 	if err != nil {

@@ -461,18 +461,26 @@ func phaseSlot(msg wire.Message) (view, seq uint64, ok bool) {
 	return 0, 0, false
 }
 
-// deferPhase keeps a phase message for a view this replica has not entered.
-// The new primary broadcasts its NewView and then its first preprepares, but
-// inbound signature checks complete in any order, and a backup still
-// finishing the view change sees the peers' prepares and commits for the new
-// view early too. Dropping them would leave the slot one vote short of a
-// quorum, and nothing retransmits phase messages, so the slot — and every
-// slot executed after it — would stall until the next view change.
-// installNewView replays the buffer. Each sender's share is capped at three
-// messages per watermark slot, so a Byzantine peer announcing far-future
-// views can only fill its own share.
-func (e *Engine) deferPhase(from crypto.NodeID, msg wire.Message, seq uint64, preVerified bool) {
-	if !e.inWatermarks(seq) {
+// deferPhase keeps a phase message that arrived too early: for a view this
+// replica has not entered, or for a slot of the current view just above its
+// high watermark. The new primary broadcasts its NewView and then its first
+// preprepares, but inbound signature checks complete in any order, and a
+// backup still finishing the view change sees the peers' prepares and
+// commits for the new view early too. Likewise a primary whose checkpoint
+// became stable before this replica's proposes up to a window past it.
+// Dropping either would leave the slot short of a quorum, and nothing
+// retransmits phase messages, so the slot — and every slot executed after
+// it — would stall until the next view change (never, when only the primary
+// holds the records). installNewView and each newly stable checkpoint
+// replay the buffer. Each sender's share is capped at three messages per
+// watermark slot, so a Byzantine peer announcing far-future views or slots
+// can only fill its own share.
+func (e *Engine) deferPhase(from crypto.NodeID, msg wire.Message, view, seq uint64, preVerified bool) {
+	high := e.lowWater + e.cfg.WatermarkWindow
+	if view == e.view {
+		high += e.cfg.WatermarkWindow
+	}
+	if seq <= e.lowWater || seq > high {
 		return
 	}
 	if e.futureBySender == nil {
@@ -485,9 +493,15 @@ func (e *Engine) deferPhase(from crypto.NodeID, msg wire.Message, seq uint64, pr
 	e.future = append(e.future, futureMsg{from: from, msg: msg, preVerified: preVerified})
 }
 
-// replayFuture feeds buffered phase messages for the view just installed
-// through the normal handlers, drops those for views now behind, and keeps
-// those for views still ahead.
+// early reports whether a phase message is ahead of this replica: for a
+// later view, or for a slot above the current view's high watermark.
+func (e *Engine) early(view, seq uint64) bool {
+	return view > e.view || view == e.view && seq > e.lowWater+e.cfg.WatermarkWindow
+}
+
+// replayFuture feeds buffered phase messages for the current view and
+// window through the normal handlers, drops those for views now behind, and
+// keeps those still ahead in view or sequence.
 func (e *Engine) replayFuture() []Action {
 	if len(e.future) == 0 {
 		return nil
@@ -499,8 +513,8 @@ func (e *Engine) replayFuture() []Action {
 	for _, f := range pending {
 		view, seq, _ := phaseSlot(f.msg)
 		switch {
-		case view > e.view:
-			e.deferPhase(f.from, f.msg, seq, f.preVerified)
+		case e.early(view, seq):
+			e.deferPhase(f.from, f.msg, view, seq, f.preVerified)
 		case view == e.view:
 			switch m := f.msg.(type) {
 			case *PrePrepare:

@@ -349,12 +349,12 @@ func (e *Endpoint) enqueue(env envelope) {
 	select {
 	case <-e.closed:
 	case e.inbox <- env:
-		e.netstats.Enqueued()
+		e.netstats.Enqueue()
 	default:
 		// Inbox full: drop, as a saturated real link would. The paper
 		// observes exactly this for the baseline at 32 ms bus cycles
 		// ("the baseline cannot keep up ... requests are dropped").
-		e.netstats.AddDrop()
+		e.netstats.Drops.Add(1)
 	}
 }
 
@@ -365,7 +365,7 @@ func (e *Endpoint) dispatch() {
 		case <-e.closed:
 			return
 		case env := <-e.inbox:
-			e.netstats.Dequeued(1)
+			e.netstats.QueueDepth.Add(-1)
 			e.counters.AddReceived(len(env.data))
 			e.mu.Lock()
 			h := e.handler

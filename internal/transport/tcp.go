@@ -431,14 +431,14 @@ func (p *tcpPeer) enqueue(f *[]byte) {
 	for {
 		select {
 		case p.queue <- f:
-			p.t.net.Enqueued()
+			p.t.net.Enqueue()
 			return
 		default:
 		}
 		select {
 		case old := <-p.queue:
-			p.t.net.Dequeued(1)
-			p.t.net.AddDrop()
+			p.t.net.QueueDepth.Add(-1)
+			p.t.net.Drops.Add(1)
 			releaseFrame(old)
 		default:
 			// The writer drained the queue between our two selects; retry.
@@ -491,20 +491,23 @@ func (p *tcpPeer) writeLoop() {
 		case first = <-p.queue:
 		}
 
+		// Connect before coalescing: while the writer dials a dead peer,
+		// later frames stay in the queue, where the SendQueue bound and
+		// drop-oldest still apply to them.
+		batch = append(batch[:0], first)
+		c := p.ensureConn()
+		if c == nil {
+			// Transport closing: the frame is lost (at-most-once).
+			p.release(batch)
+			return
+		}
+
 		// Opportunistically coalesce everything already queued, then (with
 		// a FlushInterval) linger for stragglers before paying the syscall.
-		batch = append(batch[:0], first)
 		size := len(*first)
 		batch, size = p.drain(batch, size)
 		if iv := p.t.FlushInterval; iv > 0 && len(batch) < maxCoalesceFrames && size < maxCoalesceBytes {
 			batch, size = p.linger(batch, size, iv)
-		}
-
-		c := p.ensureConn()
-		if c == nil {
-			// Transport closing: the batch is lost (at-most-once).
-			p.release(batch)
-			return
 		}
 
 		bufs = bufs[:0]
@@ -523,7 +526,7 @@ func (p *tcpPeer) writeLoop() {
 		} else {
 			// Wire loss, not overflow: PBFT's retransmit/view-change
 			// machinery recovers. Detach the conn; next loop redials.
-			p.t.net.AddWriteError(len(batch))
+			p.t.net.WriteErrors.Add(uint64(len(batch)))
 			p.clearConn(c)
 			p.t.untrack(c)
 		}
@@ -570,7 +573,7 @@ func (p *tcpPeer) linger(batch []*[]byte, size int, iv time.Duration) ([]*[]byte
 
 // release returns batch frames to the pool and settles the depth counter.
 func (p *tcpPeer) release(batch []*[]byte) {
-	p.t.net.Dequeued(len(batch))
+	p.t.net.QueueDepth.Add(-int64(len(batch)))
 	for _, f := range batch {
 		releaseFrame(f)
 	}
@@ -601,7 +604,7 @@ func (p *tcpPeer) ensureConn() net.Conn {
 			continue
 		}
 		if attempt > 0 {
-			p.t.net.AddRedial()
+			p.t.net.Redials.Add(1)
 		}
 		c, err := net.DialTimeout("tcp", addr, p.t.DialTimeout)
 		if err == nil {

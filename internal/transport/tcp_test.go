@@ -376,15 +376,15 @@ func TestTCPSlowPeerIsolation(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("healthy peer never received the final frame; got %d messages, pipeline %+v",
-				col.count(), a.NetCounters().Snapshot())
+			t.Fatalf("healthy peer never received the final frame; got %d messages, pipeline %s",
+				col.count(), pipeline(a.NetCounters()))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Logf("enqueue %v, healthy delivery %v, pipeline %+v",
-		enqueueTime, time.Since(start), a.NetCounters().Snapshot())
-	if s := a.NetCounters().Snapshot(); s.Drops == 0 {
-		t.Errorf("expected overflow drops toward the wedged peer, got %+v", s)
+	t.Logf("enqueue %v, healthy delivery %v, pipeline %s",
+		enqueueTime, time.Since(start), pipeline(a.NetCounters()))
+	if a.NetCounters().Drops.Load() == 0 {
+		t.Errorf("expected overflow drops toward the wedged peer, got %s", pipeline(a.NetCounters()))
 	}
 }
 
@@ -406,16 +406,16 @@ func TestTCPQueueOverflowDropsOldest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := a.NetCounters().Snapshot()
-	if s.Enqueued != n {
-		t.Errorf("enqueued = %d, want %d", s.Enqueued, n)
+	s := a.NetCounters()
+	if got := s.Enqueued.Load(); got != n {
+		t.Errorf("enqueued = %d, want %d", got, n)
 	}
 	// The writer may hold one in-flight frame beyond the queue capacity.
-	if min := uint64(n - 4 - 1); s.Drops < min {
-		t.Errorf("drops = %d, want ≥ %d", s.Drops, min)
+	if min, got := uint64(n-4-1), s.Drops.Load(); got < min {
+		t.Errorf("drops = %d, want ≥ %d", got, min)
 	}
-	if s.QueueDepth > 4+1 {
-		t.Errorf("queue depth = %d exceeds capacity", s.QueueDepth)
+	if got := s.QueueDepth.Load(); got > 4+1 {
+		t.Errorf("queue depth = %d exceeds capacity", got)
 	}
 }
 
@@ -437,7 +437,7 @@ func TestTCPRedialBackoffAndResume(t *testing.T) {
 	// Push frames at the dead peer until the broken connection is detected
 	// and background redials (against a refused port) start.
 	deadline := time.Now().Add(10 * time.Second)
-	for a.NetCounters().Snapshot().Redials == 0 {
+	for a.NetCounters().Redials.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no background redials recorded")
 		}
@@ -455,7 +455,7 @@ func TestTCPRedialBackoffAndResume(t *testing.T) {
 
 	for col2.count() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no delivery after restart; pipeline %+v", a.NetCounters().Snapshot())
+			t.Fatalf("no delivery after restart; pipeline %s", pipeline(a.NetCounters()))
 		}
 		_ = a.Send(1, []byte("back"))
 		time.Sleep(5 * time.Millisecond)
@@ -518,17 +518,14 @@ func TestTCPFlushIntervalCoalesces(t *testing.T) {
 	col.wait(t, 1)
 	// Write accounting happens on the writer goroutine; wait for the warm
 	// frame to be counted before taking the baseline.
-	var base metrics.NetSnapshot
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		base = a.NetCounters().Snapshot()
-		if base.Frames >= 1 {
-			break
-		}
+	nc := a.NetCounters()
+	for deadline := time.Now().Add(5 * time.Second); nc.Frames.Load() < 1; {
 		if time.Now().After(deadline) {
-			t.Fatalf("warm frame never counted: %+v", base)
+			t.Fatalf("warm frame never counted: %s", pipeline(nc))
 		}
 		time.Sleep(time.Millisecond)
 	}
+	baseFrames, baseWrites := nc.Frames.Load(), nc.WriteOps.Load()
 
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -542,19 +539,18 @@ func TestTCPFlushIntervalCoalesces(t *testing.T) {
 		f.Flush()
 	}
 	col.wait(t, n)
-	var s metrics.NetSnapshot
+	var frames uint64
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		s = a.NetCounters().Snapshot()
-		if s.Frames-base.Frames >= n {
+		frames = nc.Frames.Load() - baseFrames
+		if frames >= n {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("frames written = %d, want %d", s.Frames-base.Frames, n)
+			t.Fatalf("frames written = %d, want %d", frames, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	writes := s.WriteOps - base.WriteOps
-	frames := s.Frames - base.Frames
+	writes := nc.WriteOps.Load() - baseWrites
 	if frames != n {
 		t.Fatalf("frames written = %d, want %d", frames, n)
 	}
@@ -562,4 +558,11 @@ func TestTCPFlushIntervalCoalesces(t *testing.T) {
 		t.Errorf("burst of %d frames took %d write ops; expected coalescing", n, writes)
 	}
 	t.Logf("coalesced %d frames into %d writes (mean %.1f)", frames, writes, float64(frames)/float64(writes))
+}
+
+// pipeline renders a transport's outbound-pipeline counters for test logs.
+func pipeline(n *metrics.NetCounters) string {
+	return fmt.Sprintf("enqueued=%d drops=%d write-errors=%d writes=%d frames=%d redials=%d depth=%d peak=%d",
+		n.Enqueued.Load(), n.Drops.Load(), n.WriteErrors.Load(), n.WriteOps.Load(), n.Frames.Load(),
+		n.Redials.Load(), n.QueueDepth.Load(), n.QueuePeak.Load())
 }

@@ -160,7 +160,8 @@ func Open(dir string) (*Log, []Record, RecoveryReport, error) {
 		seg:     active,
 		enc:     wire.NewEncoder(4096),
 	}
-	l.counters.RecordReplay(len(records), report.TruncatedBytes)
+	l.counters.Replayed.Add(uint64(len(records)))
+	l.counters.TruncatedBytes.Add(uint64(report.TruncatedBytes))
 	go l.commitLoop()
 	return l, records, report, nil
 }
@@ -340,7 +341,7 @@ func (l *Log) rotate(snapshot []Record) error {
 	if err := syncDir(l.dir); err != nil {
 		return err
 	}
-	l.counters.AddRotation()
+	l.counters.Rotations.Add(1)
 	return nil
 }
 
